@@ -57,6 +57,7 @@ from .lattice import (
 from .oracle import (
     PropertyReport,
     closure_equals_order,
+    covering_pairs_by_definition,
     enumerate_by_partition,
     join_bruteforce,
     leq_by_definition,
@@ -129,6 +130,7 @@ __all__ = [
     "compare",
     "contraction",
     "covering_pairs",
+    "covering_pairs_by_definition",
     "decompose_segments",
     "enumerate_by_partition",
     "enumerate_universe",

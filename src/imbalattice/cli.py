@@ -56,7 +56,8 @@ COMMAND_OPERATIONS: dict[str, tuple[str, ...]] = {
     "code": ("canonical_code",),
     "verify": ("run_checks", "enumerate_by_partition", "leq_by_definition",
                "meet_bruteforce", "join_bruteforce", "closure_equals_order",
-               "minimal_balancing_relation", "covering_pairs", "expansion_at",
+               "minimal_balancing_relation", "covering_pairs",
+               "covering_pairs_by_definition", "expansion_at",
                "sequence_from_tree", "leaf_codewords", "nodes_within_depth",
                "sum_components", "bottom", "top"),
 }

@@ -3,6 +3,28 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+
+
+SHOWN_COMPONENTS = 8
+
+
+def short_components(components) -> str:
+    """Render components for an error message in bounded length.
+
+    Long sequences keep their first and last few entries, and integers too
+    large to print usefully show only their bit length.
+    """
+    def show(c) -> str:
+        return str(c) if abs(c).bit_length() <= 64 else f"<{c.bit_length()}-bit int>"
+
+    parts = tuple(components)
+    if len(parts) <= SHOWN_COMPONENTS:
+        shown = [show(c) for c in parts]
+    else:
+        shown = [show(c) for c in parts[: SHOWN_COMPONENTS - 2]]
+        shown += [f"... {len(parts) - SHOWN_COMPONENTS + 1} more ...", show(parts[-1])]
+    return "(" + ", ".join(shown) + ")"
 
 
 class ImbalatticeError(Exception):
@@ -24,18 +46,32 @@ class NotSorted(SequenceError):
 class KraftSumNotOne(SequenceError):
     """The dyadic weights 2**-depth do not add up to exactly 1.
 
-    Carries the exact offending sum (and its deviation from 1) as a
-    ``fractions.Fraction`` so callers can report the precise defect.
+    ``kraft_sum`` (the exact offending sum) and ``deficit`` (its deviation
+    from 1) are ``fractions.Fraction`` values computed on first access, so
+    rejecting a huge depth costs nothing until a caller asks for them.  The
+    message is one short line; it quotes the sum only when that is small.
+    A depth above n - 1 alone rules out a sum of 1, and the message says so.
     """
 
-    def __init__(self, components, kraft_sum: Fraction):
+    def __init__(self, components):
         self.components = tuple(components)
-        self.kraft_sum = kraft_sum
-        self.deficit = 1 - kraft_sum
-        super().__init__(
-            f"weights of {self.components} sum to {kraft_sum}, not 1 "
-            f"(off by {self.deficit})"
-        )
+        scale = max(self.components)
+        if scale >= len(self.components):
+            reason = f"cannot sum to 1: a depth exceeds n - 1 = {len(self.components) - 1}"
+        elif scale <= 64:
+            reason = f"sum to {self.kraft_sum}, not 1 (off by {self.deficit})"
+        else:
+            reason = "do not sum to 1"
+        super().__init__(f"weights of {short_components(self.components)} {reason}")
+
+    @cached_property
+    def kraft_sum(self) -> Fraction:
+        scale = max(self.components)
+        return Fraction(sum(1 << (scale - c) for c in self.components), 1 << scale)
+
+    @property
+    def deficit(self) -> Fraction:
+        return 1 - self.kraft_sum
 
 
 class LengthMismatch(ImbalatticeError, ValueError):

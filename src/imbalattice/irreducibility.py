@@ -1,8 +1,9 @@
-"""Join-irreducibility of path-length sequences, three independent ways.
+"""Join-irreducibility of path-length sequences, three ways.
 
 An element of a finite lattice is join-irreducible when it covers exactly
-one element.  Besides the literal cover count this module implements two
-shortcut characterizations:
+one element.  Besides the literal cover count (over the lower covers the
+lattice derives from balancing steps) this module implements two shortcut
+characterizations:
 
 * by balancing moves: the step at the first excess index must dominate the
   step at every other excess index;
@@ -13,6 +14,11 @@ shortcut characterizations:
 The near-constant sequence (the lattice bottom) covers nothing and is
 therefore never join-irreducible; both shortcut checkers guard for it
 explicitly because their conditions would otherwise hold vacuously.
+
+The cover count shares balancing steps with the first shortcut, so the
+independent evidence for covers is ``covering_pairs_by_definition`` in
+``imbalattice.oracle``, which the ``covering-within-balancing`` check
+compares against.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .lattice import LatticeUniverse, balancing_step, excess_indices
+from .lattice import LatticeUniverse, _lower_covers, balancing_step, excess_indices
 from .sequences import PathLengthSequence, leq
 
 __all__ = [
@@ -128,11 +134,12 @@ def decompose_segments(l: PathLengthSequence) -> SegmentDecomposition:
 
 
 def is_join_irreducible_by_covers(l: PathLengthSequence, universe: LatticeUniverse) -> bool:
-    """Literal definition: exactly one lower cover within the universe."""
+    """Literal definition: exactly one lower cover.
+
+    ``l`` must belong to ``universe`` (``ElementNotInUniverse`` otherwise).
+    """
     universe.index(l)
-    lowers = [u for u in universe if u != l and leq(u, l)]
-    covers = [u for u in lowers if not any(v != u and leq(u, v) for v in lowers)]
-    return len(covers) == 1
+    return len(_lower_covers(l)) == 1
 
 
 def is_join_irreducible_by_balancing(l: PathLengthSequence) -> bool:

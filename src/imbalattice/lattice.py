@@ -4,7 +4,8 @@ For each n the sequences of length n form a lattice under balance
 dominance.  This module enumerates that universe, computes meets by the
 contraction recursion, joins by folding the meet over enumerated upper
 bounds, derives the balancing moves whose closure generates the order, and
-exposes the covering (Hasse) structure with JSON and DOT exports.
+exposes the covering (Hasse) structure, read off those moves, with JSON and
+DOT exports.
 
 Enumeration grows the universe by expansion closure: every length-n
 sequence arises by re-expanding its contraction, so applying every
@@ -61,7 +62,8 @@ class LatticeUniverse:
 
     ``cover_edges`` is either ``None`` (not computed, see ``hasse``) or the
     transitive reduction of the order as index pairs ``(a, b)`` meaning
-    ``elements[a]`` is covered by ``elements[b]``.
+    ``elements[a]`` is covered by ``elements[b]``, sorted.  The edges are
+    derived from balancing steps, not from a pairwise reduction.
     """
 
     n: int
@@ -134,29 +136,20 @@ def meet(s: PathLengthSequence, t: PathLengthSequence) -> PathLengthSequence:
     meet of the two contractions: the result is the upper expansion of ``m``
     when that is below both arguments, else the lower expansion of ``m``.
     The result always satisfies ``last(meet(s, t)) == min(last s, last t)``.
+    The recursion runs as a loop: both contraction chains are built down to
+    length 1 and then walked back up, so any length works.
     """
     if len(s) != len(t):
         raise LengthMismatch(f"cannot meet lengths {len(s)} and {len(t)}")
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], PathLengthSequence] = {}
-
-    def go(a: PathLengthSequence, b: PathLengthSequence) -> PathLengthSequence:
-        key = (a.components, b.components)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        if len(a) == 1:
-            result = a
-        else:
-            m = go(contraction(a), contraction(b))
-            up = upper_expansion(m)
-            if leq(up, a) and leq(up, b):
-                result = up
-            else:
-                result = lower_expansion(m)
-        memo[key] = result
-        return result
-
-    return go(s, t)
+    chain = [(s, t)]
+    while len(chain[-1][0]) > 1:
+        a, b = chain[-1]
+        chain.append((contraction(a), contraction(b)))
+    result = chain.pop()[0]
+    for a, b in reversed(chain):
+        up = upper_expansion(result)
+        result = up if leq(up, a) and leq(up, b) else lower_expansion(result)
+    return result
 
 
 def join(
@@ -187,7 +180,7 @@ def excess_indices(l: PathLengthSequence) -> tuple[int, ...]:
     out = []
     for j in range(2, len(l)):
         value = l[j - 1]
-        if l[j - 2] < value == l[j] and any(c <= value - 2 for c in l):
+        if l[j - 2] < value == l[j] and l.first <= value - 2:
             out.append(j)
     return tuple(out)
 
@@ -231,38 +224,35 @@ def minimal_balancing_relation(
     return tuple(steps)
 
 
+def _lower_covers(u: PathLengthSequence) -> list[PathLengthSequence]:
+    """The elements ``u`` covers: the maximal targets of its balancing steps.
+
+    Every cover is a balancing step, and every step target lies below some
+    cover of ``u``, so the covers are exactly the maximal step targets.
+    Ordered by first excess index; empty for the bottom.
+    """
+    targets = list(dict.fromkeys(balancing_step(u, j) for j in excess_indices(u)))
+    return [t for t in targets if not any(t != v and leq(t, v) for v in targets)]
+
+
 @lru_cache(maxsize=None)
 def _cover_edges(n: int) -> tuple[tuple[int, int], ...]:
-    elements = _universe(n).elements
-    m = len(elements)
-    # One common scale for the whole universe keeps domination checks to
-    # plain integer comparisons.
-    scale = max(el.last for el in elements)
-    sums = []
-    for el in elements:
-        acc, row = 0, []
-        for depth in el:
-            acc += 1 << (scale - depth)
-            row.append(acc)
-        sums.append(tuple(row))
-    below = [
-        [a != b and all(x <= y for x, y in zip(sums[a], sums[b])) for b in range(m)]
-        for a in range(m)
-    ]
-    edges = [
-        (a, b)
-        for a in range(m)
-        for b in range(m)
-        if below[a][b] and not any(below[a][c] and below[c][b] for c in range(m))
-    ]
-    return tuple(sorted(edges))
+    universe = _universe(n)
+    return tuple(sorted(
+        (universe.index(low), b)
+        for b, u in enumerate(universe.elements)
+        for low in _lower_covers(u)
+    ))
 
 
 def hasse(n: int, ceiling: int = DEFAULT_CEILING) -> LatticeUniverse:
     """The universe together with its covering edges (transitive reduction).
 
-    Cover computation is cubic in the universe size; it is meant for the
-    desk-scale lengths the ceiling permits.
+    Covers come from balancing steps (see ``_lower_covers``): O(n**2) order
+    checks per element, so the cost is dominated by enumeration.  The
+    definition-level reduction lives in
+    ``imbalattice.oracle.covering_pairs_by_definition`` as the independent
+    check.
     """
     _check_size(n, ceiling)
     return LatticeUniverse(n, _universe(n).elements, _cover_edges(n))

@@ -4,8 +4,10 @@ Nothing here is a production path.  The point of this module is to share as
 little as possible with the fast implementations so that agreement between
 the two is evidence rather than tautology: order checks recompute partial
 sums as exact rationals straight from the definition, enumeration searches
-dyadic partitions of 1 instead of closing under expansions, and meets and
-joins are found by exhaustive scans over a universe.
+dyadic partitions of 1 instead of closing under expansions, meets and
+joins are found by exhaustive scans over a universe, and cover pairs come
+from a cubic transitive reduction of the definition-level order instead of
+from balancing steps.
 
 ``closure_equals_order`` is the one deliberate exception: it consumes the
 minimal balancing relation (the artifact under test) and checks that its
@@ -27,6 +29,7 @@ from .sequences import PathLengthSequence
 __all__ = [
     "PropertyReport",
     "closure_equals_order",
+    "covering_pairs_by_definition",
     "enumerate_by_partition",
     "join_bruteforce",
     "leq_by_definition",
@@ -114,6 +117,29 @@ def enumerate_by_partition(n: int, ceiling: int = DEFAULT_CEILING) -> tuple[Path
 
     extend(Fraction(1), n, 0)
     return tuple(PathLengthSequence(c) for c in sorted(found))
+
+
+def covering_pairs_by_definition(
+    n: int, ceiling: int = DEFAULT_CEILING
+) -> tuple[tuple[PathLengthSequence, PathLengthSequence], ...]:
+    """Cover pairs ``(lower, upper)`` by transitive reduction of the order.
+
+    ``lower`` is covered by ``upper`` when ``lower < upper`` and no element
+    lies strictly between them; cubic in the universe size.  Pairs come in
+    the order of ``imbalattice.lattice.covering_pairs``.
+    """
+    elements = enumerate_by_partition(n, ceiling)
+    m = len(elements)
+    below = [
+        [a != b and leq_by_definition(elements[a], elements[b]) for b in range(m)]
+        for a in range(m)
+    ]
+    return tuple(
+        (elements[a], elements[b])
+        for a in range(m)
+        for b in range(m)
+        if below[a][b] and not any(below[a][c] and below[c][b] for c in range(m))
+    )
 
 
 def meet_bruteforce(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from operator import index as _as_int
 from typing import Iterable, Iterator
 
@@ -32,6 +31,7 @@ from .errors import (
     NotSorted,
     ScaleTooSmall,
     SequenceError,
+    short_components,
 )
 
 __all__ = [
@@ -67,14 +67,20 @@ class PathLengthSequence:
             raise SequenceError("a path-length sequence has at least one component")
         for depth in components:
             if depth < 0:
-                raise NegativeDepth(f"negative leaf depth {depth} in {components}")
+                raise NegativeDepth(f"negative leaf depth in {short_components(components)}")
         for a, b in zip(components, components[1:]):
             if a > b:
-                raise NotSorted(f"components must be nondecreasing, got {components}")
+                raise NotSorted(
+                    f"components must be nondecreasing, got {short_components(components)}"
+                )
         scale = components[-1]
+        # Kraft equality caps the depth at n - 1; checking that first keeps
+        # the shift below bounded by the input length.
+        if scale >= len(components):
+            raise KraftSumNotOne(components)
         total = sum(1 << (scale - c) for c in components)
         if total != 1 << scale:
-            raise KraftSumNotOne(components, Fraction(total, 1 << scale))
+            raise KraftSumNotOne(components)
 
     @property
     def n(self) -> int:

@@ -20,6 +20,7 @@ from .irreducibility import (
 )
 from .lattice import (
     DEFAULT_CEILING,
+    _lower_covers,
     bottom,
     covering_pairs,
     balancing_step,
@@ -33,6 +34,7 @@ from .lattice import (
 from .oracle import (
     PropertyReport,
     closure_equals_order,
+    covering_pairs_by_definition,
     enumerate_by_partition,
     join_bruteforce,
     meet_bruteforce,
@@ -69,11 +71,6 @@ def _ordered_pairs(
     for a in pool:
         for b in pool:
             yield a, b
-
-
-def _lower_covers(l, universe):
-    lowers = [u for u in universe if u != l and leq(u, l)]
-    return [u for u in lowers if not any(v != u and leq(u, v) for v in lowers)]
 
 
 def _check_partial_order_laws(max_n: int, ceiling: int) -> PropertyReport:
@@ -286,8 +283,11 @@ def _check_closure_equals_order(max_n: int, ceiling: int) -> PropertyReport:
 def _check_covering_within_balancing(max_n: int, ceiling: int) -> PropertyReport:
     name = "covering-within-balancing"
     for n in _sizes(max_n):
+        covers = covering_pairs(n, ceiling)
+        if covers != covering_pairs_by_definition(n, ceiling):
+            return PropertyReport(name, max_n, "fail", f"n={n}: covers differ from the definition")
         steps = {(s.target, s.source) for s in minimal_balancing_relation(n, ceiling)}
-        for low, high in covering_pairs(n, ceiling):
+        for low, high in covers:
             if (low, high) not in steps:
                 return PropertyReport(name, max_n, "fail", f"cover {low} < {high}")
     return PropertyReport(name, max_n, "pass")
@@ -333,8 +333,7 @@ def _check_unique_cover_first_step(max_n: int, ceiling: int) -> PropertyReport:
         for l in universe:
             if not is_join_irreducible_by_covers(l, universe):
                 continue
-            covers = _lower_covers(l, universe)
-            if covers != [balancing_step(l, excess_indices(l)[0])]:
+            if _lower_covers(l) != [balancing_step(l, excess_indices(l)[0])]:
                 return PropertyReport(name, max_n, "fail", f"at {l}")
     return PropertyReport(name, max_n, "pass")
 

@@ -1,5 +1,6 @@
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +161,12 @@ class TestExitCodes:
         assert code == 1
         assert "9/8" in err
 
+    def test_huge_depth_is_one_short_line(self, capsys):
+        code, out, err = run(capsys, "compare", "1,100000", "1,1")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and len(err) < 100
+        assert err.startswith("error: ")
+
     def test_ceiling_violation_is_one(self, capsys):
         code, _, err = run(capsys, "enumerate", "40")
         assert code == 1
@@ -181,6 +188,14 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+    @pytest.mark.parametrize("command", ["hasse 14", "irreducibles 14"])
+    def test_matches_benchmark_reference(self, capsys, command):
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "cli.json"
+        expected = json.loads(reference.read_text())[command]
+        code, out, _ = run(capsys, *command.split())
+        assert (code, out) == (0, expected)
 
 
 class TestCoverage:

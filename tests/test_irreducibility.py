@@ -122,7 +122,7 @@ class TestDecompositionCriterion:
 
 class TestAgreement:
     def test_triple_agreement(self):
-        for n in range(1, 9):
+        for n in range(1, 15):
             universe = enumerate_universe(n)
             for l in universe:
                 verdicts = {

@@ -9,6 +9,7 @@ from imbalattice import (
     balancing_step,
     bottom,
     covering_pairs,
+    covering_pairs_by_definition,
     enumerate_universe,
     excess_indices,
     hasse,
@@ -16,6 +17,7 @@ from imbalattice import (
     hasse_json,
     join,
     leq,
+    leq_by_definition,
     meet,
     minimal_balancing_relation,
     sum_components,
@@ -115,6 +117,12 @@ class TestMeet:
                         if leq(u, s) and leq(u, t):
                             assert leq(u, low)
                         assert meet(low, u) == meet(s, meet(t, u))
+
+    def test_deep_arguments_need_no_recursion(self):
+        s, t = top(2000), bottom(2000)
+        low = meet(s, t)
+        assert low.last == min(s.last, t.last)
+        assert leq_by_definition(low, s) and leq_by_definition(low, t)
 
 
 class TestJoin:
@@ -225,6 +233,16 @@ class TestCovering:
             lower_cover_counts[universe.elements[b]] += 1
         doubled = [el for el, c in lower_cover_counts.items() if c == 2]
         assert [el.components for el in doubled] == [(1, 3, 3, 3, 4, 5, 5)]
+
+    def test_cover_edges_match_the_definition(self):
+        # Covers come from balancing steps; the oracle reduces the
+        # definition-level order over its own enumeration.
+        for n in range(1, 13):
+            universe = hasse(n)
+            edges = [
+                (universe.elements[a], universe.elements[b]) for a, b in universe.cover_edges
+            ]
+            assert tuple(edges) == covering_pairs_by_definition(n), n
 
     def test_chain_below_seven_and_first_incomparable_pair(self):
         for n in range(1, 7):

@@ -7,6 +7,7 @@ from imbalattice import (
     ResourceLimit,
     bottom,
     closure_equals_order,
+    covering_pairs_by_definition,
     enumerate_by_partition,
     enumerate_universe,
     join,
@@ -87,6 +88,12 @@ class TestBruteforceBounds:
         error = NotALattice("boom", pair=(seq(0), seq(0)), bounds=(seq(0),))
         assert error.pair == (seq(0), seq(0))
         assert error.bounds == (seq(0),)
+
+
+class TestCoversByDefinition:
+    def test_ceiling(self):
+        with pytest.raises(ResourceLimit):
+            covering_pairs_by_definition(9, ceiling=8)
 
 
 class TestClosureReport:

@@ -44,6 +44,24 @@ class TestValidate:
         assert info.value.kraft_sum == Fraction(3, 4)
         assert info.value.deficit == Fraction(1, 4)
 
+    def test_depth_beyond_length_is_rejected_before_the_sum(self):
+        with pytest.raises(KraftSumNotOne) as info:
+            seq(1, 10**6)
+        message = str(info.value)
+        assert "\n" not in message and len(message) < 100
+        assert info.value.kraft_sum == Fraction(1, 2) + Fraction(1, 2**10**6)
+        assert info.value.deficit == Fraction(1, 2) - Fraction(1, 2**10**6)
+
+    def test_long_invalid_input_gets_a_short_message(self):
+        parts = tuple(range(1, 70)) + (69, 69)
+        with pytest.raises(KraftSumNotOne) as info:
+            validate(parts)
+        assert len(str(info.value)) < 150
+        assert info.value.kraft_sum == 1 + Fraction(1, 2**69)
+        with pytest.raises(NotSorted) as info:
+            validate(tuple(range(500, 0, -1)))
+        assert len(str(info.value)) < 150
+
     def test_not_sorted(self):
         with pytest.raises(NotSorted):
             seq(2, 1, 1)
