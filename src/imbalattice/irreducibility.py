@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .lattice import LatticeUniverse, _lower_covers, balancing_step, excess_indices
-from .sequences import PathLengthSequence, leq
+from .lattice import LatticeUniverse, _balance, _excess, _lower_covers
+from .sequences import PathLengthSequence, _leq
 
 __all__ = [
     "NearConstancy",
@@ -87,11 +87,6 @@ class SegmentDecomposition:
         return all(a < b for a, b in zip(self.middle, self.middle[1:]))
 
     @property
-    def lead_nonempty(self) -> bool:
-        """Head plus middle is nonempty (automatic under the greedy split)."""
-        return bool(self.head or self.middle)
-
-    @property
     def tail_run_deep_enough(self) -> bool:
         """A non-constant tail opening with a repeated value must start at
         least two levels below the last component before it."""
@@ -106,7 +101,6 @@ class SegmentDecomposition:
         return (
             self.ends_near_constant
             and self.middle_strictly_increasing
-            and self.lead_nonempty
             and self.tail_run_deep_enough
         )
 
@@ -148,11 +142,12 @@ def is_join_irreducible_by_balancing(l: PathLengthSequence) -> bool:
     False for the bottom (no excess index); otherwise true exactly when the
     move at the first excess index dominates the move at every excess index.
     """
-    indices = excess_indices(l)
+    c = l.components
+    indices = _excess(c)
     if not indices:
         return False
-    first_step = balancing_step(l, indices[0])
-    return all(leq(balancing_step(l, k), first_step) for k in indices)
+    first_step = _balance(c, indices[0])
+    return all(_leq(_balance(c, k), first_step) for k in indices[1:])
 
 
 def is_join_irreducible_by_decomposition(l: PathLengthSequence) -> bool:

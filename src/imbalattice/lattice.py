@@ -8,10 +8,15 @@ exposes the covering (Hasse) structure, read off those moves, with JSON and
 DOT exports.
 
 Enumeration grows the universe by expansion closure: every length-n
-sequence arises by re-expanding its contraction, so applying every
-position's expansion to the (n-1)-universe and deduplicating is complete.
-An independent enumeration lives in ``imbalattice.oracle`` precisely so the
-two can be checked against each other.
+sequence arises by re-expanding its contraction, so expanding each
+(n-1)-sequence at the depths that its own contraction can undo reaches
+every length-n sequence exactly once.  An independent enumeration lives in
+``imbalattice.oracle`` precisely so the two can be checked against each
+other.
+
+Enumeration, meet and the balancing moves run on plain component tuples,
+which keep the invariants by construction; each value they return is built
+once through the validating ``PathLengthSequence`` constructor.
 
 Universe construction is memoized; all returned values are immutable, so
 results may be shared freely across threads.
@@ -30,8 +35,8 @@ from .errors import (
     NotAnExcessIndex,
     ResourceLimit,
 )
-from .sequences import PathLengthSequence, format_sequence, leq
-from .transforms import contraction, expansion_at, lower_expansion, upper_expansion
+from .sequences import PathLengthSequence, _leq, format_sequence, leq
+from .transforms import _contract, _expand, _lower_index
 
 __all__ = [
     "DEFAULT_CEILING",
@@ -110,23 +115,56 @@ def _check_size(n: int, ceiling: int) -> None:
         )
 
 
+def _children(c: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The expansions of ``c`` whose contraction is ``c`` itself.
+
+    Contraction merges two deepest leaves, so it undoes exactly the
+    expansions of a leaf at depth ``last c`` (the upper expansion) or
+    ``last c - 1`` (the lower expansion, when its leaf has that depth).
+    """
+    yield _expand(c, len(c) - 1)
+    i = _lower_index(c)
+    if c[i] == c[-1] - 1:
+        yield _expand(c, i)
+
+
 @lru_cache(maxsize=None)
 def _universe(n: int) -> LatticeUniverse:
-    if n == 1:
-        elements = (PathLengthSequence((0,)),)
-    else:
-        seen = set()
-        for l in _universe(n - 1).elements:
-            for i in range(1, n):
-                seen.add(expansion_at(l, i).components)
-        elements = tuple(PathLengthSequence(c) for c in sorted(seen))
-    return LatticeUniverse(n, elements)
+    # Every sequence has one contraction, so growing each level by the
+    # children of its members reaches every sequence exactly once: no
+    # duplicates to drop, and only the final level is validated.
+    level = [(0,)]
+    for _ in range(n - 1):
+        level = [child for c in level for child in _children(c)]
+    return LatticeUniverse(n, tuple(map(PathLengthSequence, sorted(level))))
 
 
 def enumerate_universe(n: int, ceiling: int = DEFAULT_CEILING) -> LatticeUniverse:
     """All path-length sequences of length ``n``, by expansion closure."""
     _check_size(n, ceiling)
     return _universe(n)
+
+
+def _meet(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """Meet of two equal-length component tuples, by contraction recursion.
+
+    The recursion runs as a loop: both contraction chains are built down to
+    length 1 and then walked back up, so any length works.
+    """
+    chain = [(s, t)]
+    while len(chain[-1][0]) > 1:
+        a, b = chain[-1]
+        chain.append((_contract(a), _contract(b)))
+    result = chain.pop()[0]
+    for a, b in reversed(chain):
+        up = _expand(result, len(result) - 1)
+        # x <= y forces last x <= last y (the second-to-last partial sums
+        # are 1 - 2**-last), which settles most levels without a scan.
+        if up[-1] <= min(a[-1], b[-1]) and _leq(up, a) and _leq(up, b):
+            result = up
+        else:
+            result = _expand(result, _lower_index(result))
+    return result
 
 
 def meet(s: PathLengthSequence, t: PathLengthSequence) -> PathLengthSequence:
@@ -136,20 +174,11 @@ def meet(s: PathLengthSequence, t: PathLengthSequence) -> PathLengthSequence:
     meet of the two contractions: the result is the upper expansion of ``m``
     when that is below both arguments, else the lower expansion of ``m``.
     The result always satisfies ``last(meet(s, t)) == min(last s, last t)``.
-    The recursion runs as a loop: both contraction chains are built down to
-    length 1 and then walked back up, so any length works.
+    Intermediate sequences stay plain tuples; only the result is validated.
     """
     if len(s) != len(t):
         raise LengthMismatch(f"cannot meet lengths {len(s)} and {len(t)}")
-    chain = [(s, t)]
-    while len(chain[-1][0]) > 1:
-        a, b = chain[-1]
-        chain.append((contraction(a), contraction(b)))
-    result = chain.pop()[0]
-    for a, b in reversed(chain):
-        up = upper_expansion(result)
-        result = up if leq(up, a) and leq(up, b) else lower_expansion(result)
-    return result
+    return PathLengthSequence(_meet(s.components, t.components))
 
 
 def join(
@@ -170,6 +199,30 @@ def join(
     return reduce(meet, uppers)
 
 
+def _excess(c: tuple[int, ...]) -> tuple[int, ...]:
+    """Excess indices (1-based) of a component tuple."""
+    first = c[0]
+    return tuple(
+        j for j in range(2, len(c)) if c[j - 2] < c[j - 1] == c[j] and first <= c[j - 1] - 2
+    )
+
+
+def _balance(c: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """The balancing move at excess index ``j`` (unchecked) on a tuple.
+
+    Positions ``j - 1`` and ``j`` (0-based) hold the first two copies of
+    ``deep = c[j - 1]``; they merge into one ``deep - 1``.  The leaf at the
+    last index ``i`` with ``c[i] <= deep - 2`` splits into two of
+    ``c[i] + 1``.  Both replacements keep the tuple sorted.
+    """
+    deep = c[j - 1]
+    i = j - 2
+    while c[i] > deep - 2:
+        i -= 1
+    split = c[i] + 1
+    return c[:i] + (split, split) + c[i + 1 : j - 1] + (deep - 1,) + c[j + 1 :]
+
+
 def excess_indices(l: PathLengthSequence) -> tuple[int, ...]:
     """Interior positions where a balancing move applies.
 
@@ -177,12 +230,7 @@ def excess_indices(l: PathLengthSequence) -> tuple[int, ...]:
     component is at most ``l_j - 2``.  Empty exactly for the near-constant
     (bottom) sequence.
     """
-    out = []
-    for j in range(2, len(l)):
-        value = l[j - 1]
-        if l[j - 2] < value == l[j] and l.first <= value - 2:
-            out.append(j)
-    return tuple(out)
+    return _excess(l.components)
 
 
 def balancing_step(l: PathLengthSequence, j: int) -> PathLengthSequence:
@@ -193,18 +241,9 @@ def balancing_step(l: PathLengthSequence, j: int) -> PathLengthSequence:
     and the first two copies of ``l_j`` merge into one ``l_j - 1``.  The
     result has the same length and is strictly more balanced.
     """
-    if j not in excess_indices(l):
+    if j not in _excess(l.components):
         raise NotAnExcessIndex(f"{j} is not an excess index of {l}")
-    deep = l[j - 1]
-    shallow = max(c for c in l if c <= deep - 2)
-    parts = list(l.components)
-    parts.remove(shallow)
-    parts.extend((shallow + 1, shallow + 1))
-    parts.remove(deep)
-    parts.remove(deep)
-    parts.append(deep - 1)
-    parts.sort()
-    return PathLengthSequence(tuple(parts))
+    return PathLengthSequence(_balance(l.components, j))
 
 
 def minimal_balancing_relation(
@@ -218,8 +257,9 @@ def minimal_balancing_relation(
     """
     steps = []
     for l in enumerate_universe(n, ceiling):
-        for j in excess_indices(l):
-            steps.append(BalancingStep(l, j, balancing_step(l, j)))
+        c = l.components
+        for j in _excess(c):
+            steps.append(BalancingStep(l, j, PathLengthSequence(_balance(c, j))))
     steps.sort(key=lambda s: (s.source.components, s.excess_index))
     return tuple(steps)
 
@@ -231,8 +271,13 @@ def _lower_covers(u: PathLengthSequence) -> list[PathLengthSequence]:
     cover of ``u``, so the covers are exactly the maximal step targets.
     Ordered by first excess index; empty for the bottom.
     """
-    targets = list(dict.fromkeys(balancing_step(u, j) for j in excess_indices(u)))
-    return [t for t in targets if not any(t != v and leq(t, v) for v in targets)]
+    c = u.components
+    targets = list(dict.fromkeys(_balance(c, j) for j in _excess(c)))
+    return [
+        PathLengthSequence(t)
+        for t in targets
+        if not any(t != v and _leq(t, v) for v in targets)
+    ]
 
 
 @lru_cache(maxsize=None)

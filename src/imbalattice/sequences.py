@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import index as _as_int
+from itertools import repeat
+from operator import index as _as_int, le, rshift
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -61,25 +62,22 @@ class PathLengthSequence:
     components: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        components = tuple(_as_int(c) for c in self.components)
+        components = tuple(map(_as_int, self.components))
         object.__setattr__(self, "components", components)
         if not components:
             raise SequenceError("a path-length sequence has at least one component")
-        for depth in components:
-            if depth < 0:
-                raise NegativeDepth(f"negative leaf depth in {short_components(components)}")
-        for a, b in zip(components, components[1:]):
-            if a > b:
-                raise NotSorted(
-                    f"components must be nondecreasing, got {short_components(components)}"
-                )
+        if min(components) < 0:
+            raise NegativeDepth(f"negative leaf depth in {short_components(components)}")
+        if not all(map(le, components, components[1:])):
+            raise NotSorted(
+                f"components must be nondecreasing, got {short_components(components)}"
+            )
         scale = components[-1]
         # Kraft equality caps the depth at n - 1; checking that first keeps
         # the shift below bounded by the input length.
         if scale >= len(components):
             raise KraftSumNotOne(components)
-        total = sum(1 << (scale - c) for c in components)
-        if total != 1 << scale:
+        if sum(map(rshift, repeat(1 << scale), components)) != 1 << scale:
             raise KraftSumNotOne(components)
 
     @property
@@ -158,12 +156,36 @@ def format_sequence(l: PathLengthSequence) -> str:
     return ",".join(str(c) for c in l.components)
 
 
-def suffix_length(l: PathLengthSequence) -> int:
-    """Number of equal trailing components (even for every n >= 2)."""
+def _suffix(c: tuple[int, ...]) -> int:
+    """Number of equal trailing entries of a component tuple."""
+    last = c[-1]
     k = 1
-    while k < len(l) and l[-1 - k] == l.last:
+    while k < len(c) and c[-1 - k] == last:
         k += 1
     return k
+
+
+def suffix_length(l: PathLengthSequence) -> int:
+    """Number of equal trailing components (even for every n >= 2)."""
+    return _suffix(l.components)
+
+
+def _leq(x: tuple[int, ...], y: tuple[int, ...], scale: int | None = None) -> bool:
+    """The balance order on equal-length component tuples.
+
+    Partial sums are taken at ``2**scale``, by default the larger last
+    component; any larger scale gives the same answer.  Stops at the first
+    partial sum of ``x`` that exceeds the matching one of ``y``.
+    """
+    if scale is None:
+        scale = max(x[-1], y[-1])
+    a = b = 0
+    for p, q in zip(x, y):
+        a += 1 << (scale - p)
+        b += 1 << (scale - q)
+        if a > b:
+            return False
+    return True
 
 
 def scaled_partial_sums(l: PathLengthSequence, scale: int | None = None) -> ScaledPartialSums:
@@ -191,16 +213,20 @@ def compare(l: PathLengthSequence, h: PathLengthSequence, scale: int | None = No
     """
     if len(l) != len(h):
         raise LengthMismatch(f"cannot compare lengths {len(l)} and {len(h)}")
-    common = max(l.last, h.last) if scale is None else scale
-    a = scaled_partial_sums(l, common).sums
-    b = scaled_partial_sums(h, common).sums
-    le = all(x <= y for x, y in zip(a, b))
-    ge = all(x >= y for x, y in zip(a, b))
-    if le and ge:
+    if scale is None:
+        scale = max(l.last, h.last)
+    else:
+        scale = _as_int(scale)
+        for s in (l, h):
+            if scale < s.last:
+                raise ScaleTooSmall(f"scale {scale} is below last component {s.last}")
+    below = _leq(l.components, h.components, scale)
+    above = _leq(h.components, l.components, scale)
+    if below and above:
         return OrderVerdict.EQUAL
-    if le:
+    if below:
         return OrderVerdict.MORE_BALANCED
-    if ge:
+    if above:
         return OrderVerdict.LESS_BALANCED
     return OrderVerdict.INCOMPARABLE
 
@@ -213,11 +239,4 @@ def leq(l: PathLengthSequence, h: PathLengthSequence) -> bool:
     """
     if len(l) != len(h):
         raise LengthMismatch(f"cannot compare lengths {len(l)} and {len(h)}")
-    exponent = max(l.last, h.last)
-    a = b = 0
-    for x, y in zip(l, h):
-        a += 1 << (exponent - x)
-        b += 1 << (exponent - y)
-        if a > b:
-            return False
-    return True
+    return _leq(l.components, h.components)

@@ -12,13 +12,16 @@ Contraction is the inverse-style move: it merges the two deepest leaves and
 re-deepens the run boundary, producing an (n-1)-component sequence that
 sandwiches the original between its own lower and upper expansions.
 
-Pure functions over immutable values throughout.
+The moves themselves run on plain component tuples (``_expand``,
+``_contract``), which keep sortedness and the Kraft sum by construction;
+the public functions wrap their one result in a validated
+``PathLengthSequence``.  Pure functions over immutable values throughout.
 """
 
 from __future__ import annotations
 
 from .errors import PositionOutOfRange, SingletonSequence
-from .sequences import PathLengthSequence, suffix_length
+from .sequences import PathLengthSequence, _suffix
 
 __all__ = [
     "contraction",
@@ -28,15 +31,36 @@ __all__ = [
 ]
 
 
+def _expand(c: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Split the entry at 0-based index ``i`` of a sorted component tuple.
+
+    The two copies of ``d + 1`` go after the rest of ``d``'s run, so the
+    result stays sorted without a sort.  Every copy of ``d`` gives the same
+    result.
+    """
+    d = c[i]
+    j = i + 1
+    while j < len(c) and c[j] == d:
+        j += 1
+    return c[:i] + c[i + 1 : j] + (d + 1, d + 1) + c[j:]
+
+
+def _contract(c: tuple[int, ...]) -> tuple[int, ...]:
+    """Contraction of a component tuple with at least two entries."""
+    cut = len(c) - _suffix(c)
+    return c[:cut] + (c[cut] - 1,) + (c[-1],) * (len(c) - cut - 2)
+
+
+def _lower_index(c: tuple[int, ...]) -> int:
+    """0-based index of the lower expansion: ``max(1, n - suf)`` less one."""
+    return max(0, len(c) - _suffix(c) - 1)
+
+
 def expansion_at(l: PathLengthSequence, i: int) -> PathLengthSequence:
     """Split the leaf at 1-based position ``i``; result has n+1 components."""
     if not 1 <= i <= len(l):
         raise PositionOutOfRange(f"position {i} outside 1..{len(l)}")
-    parts = list(l.components)
-    depth = parts.pop(i - 1)
-    parts.extend((depth + 1, depth + 1))
-    parts.sort()
-    return PathLengthSequence(tuple(parts))
+    return PathLengthSequence(_expand(l.components, i - 1))
 
 
 def upper_expansion(l: PathLengthSequence) -> PathLengthSequence:
@@ -50,7 +74,7 @@ def lower_expansion(l: PathLengthSequence) -> PathLengthSequence:
     For a constant sequence this is position 1 and equals the upper
     expansion; a sequence is constant exactly when the two coincide.
     """
-    return expansion_at(l, max(1, len(l) - suffix_length(l)))
+    return expansion_at(l, _lower_index(l.components) + 1)
 
 
 def contraction(l: PathLengthSequence) -> PathLengthSequence:
@@ -61,9 +85,6 @@ def contraction(l: PathLengthSequence) -> PathLengthSequence:
     original is recovered by re-expanding position ``n - k + 1``, and is
     sandwiched between the contraction's lower and upper expansions.
     """
-    n = len(l)
-    if n == 1:
+    if len(l) == 1:
         raise SingletonSequence("cannot contract a single-component sequence")
-    k = suffix_length(l)
-    parts = l.components[: n - k] + (l.components[n - k] - 1,) + (l.last,) * (k - 2)
-    return PathLengthSequence(parts)
+    return PathLengthSequence(_contract(l.components))

@@ -1,11 +1,22 @@
 import inspect
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import imbalattice
-from imbalattice import hasse, hasse_dot, tree_dot, tree_from_sequence, validate
+from imbalattice import (
+    enumerate_universe,
+    format_sequence,
+    hasse,
+    hasse_dot,
+    tree_dot,
+    tree_from_sequence,
+    validate,
+)
 from imbalattice.cli import COMMAND_OPERATIONS, main
 from imbalattice.verify import CHECKS
 
@@ -208,3 +219,47 @@ class TestCoverage:
         }
         covered = set().union(*COMMAND_OPERATIONS.values())
         assert operations == covered
+
+
+# Cheap command lines for the fuzz below: lengths up to 8 (plus the
+# invalid 0 and -1), sequences valid or not, of equal or unequal length.
+sizes = st.integers(-1, 8).map(str)
+valid_text = st.integers(1, 8).flatmap(
+    lambda n: st.sampled_from(enumerate_universe(n).elements).map(format_sequence)
+)
+any_text = st.one_of(
+    valid_text,
+    st.lists(st.integers(-1, 9), min_size=1, max_size=8).map(
+        lambda depths: ",".join(map(str, depths))
+    ),
+    st.sampled_from(["", "x", "1,,1", "1.0,1", "-"]),
+)
+methods = st.sampled_from(["covers", "balancing", "decomposition", "all"])
+enumerate_options = st.sampled_from([[], ["--count"], ["--format", "json"], ["--ceiling", "5"]])
+argvs = st.one_of(
+    st.tuples(st.sampled_from(["compare", "meet", "join"]), any_text, any_text).map(list),
+    st.tuples(st.sampled_from(["balance", "tree", "code"]), any_text).map(list),
+    st.tuples(any_text, sizes).map(lambda p: ["balance", p[0], "--at", p[1]]),
+    st.tuples(sizes, enumerate_options).map(lambda p: ["enumerate", p[0], *p[1]]),
+    sizes.map(lambda n: ["hasse", n]),
+    st.tuples(sizes, methods).map(lambda p: ["irreducibles", p[0], "--method", p[1]]),
+    st.integers(1, 3).map(lambda n: ["verify", str(n)]),
+)
+
+
+def run_quietly(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(argvs)
+def test_fuzzed_commands_exit_cleanly_and_repeat_exactly(argv):
+    first = run_quietly(argv)
+    assert first[0] in (0, 1, 2)
+    assert run_quietly(argv) == first

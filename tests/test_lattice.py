@@ -12,10 +12,12 @@ from imbalattice import (
     covering_pairs_by_definition,
     enumerate_universe,
     excess_indices,
+    expansion_at,
     hasse,
     hasse_dot,
     hasse_json,
     join,
+    join_bruteforce,
     leq,
     leq_by_definition,
     meet,
@@ -62,6 +64,15 @@ class TestEnumerate:
         with pytest.raises(ResourceLimit):
             enumerate_universe(21)
         assert len(enumerate_universe(21, ceiling=21)) > len(enumerate_universe(20))
+
+    def test_matches_the_closure_over_every_position(self):
+        for n in range(2, 15):
+            grown = {
+                expansion_at(l, i).components
+                for l in enumerate_universe(n - 1)
+                for i in range(1, n)
+            }
+            assert [el.components for el in enumerate_universe(n)] == sorted(grown)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -143,6 +154,13 @@ class TestJoin:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             join(seq(0), seq(1, 1))
+
+    def test_matches_the_bruteforce_join(self):
+        for n in range(1, 9):
+            universe = enumerate_universe(n)
+            for s in universe:
+                for t in universe:
+                    assert join(s, t) == join_bruteforce(s, t, universe)
 
     def test_absorption(self):
         for n in range(1, 9):

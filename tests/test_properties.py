@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from imbalattice import (
     KraftSumNotOne,
@@ -89,6 +89,31 @@ def test_meet_is_a_commutative_lower_bound(pair):
     assert low == meet(b, a)
     assert leq(low, a) and leq(low, b)
     assert low.last == min(a.last, b.last)
+
+
+@st.composite
+def random_split(draw, n):
+    """A length-n sequence grown from one leaf by n - 1 drawn leaf splits."""
+    depths = [0]
+    for _ in range(n - 1):
+        depth = depths.pop(draw(st.integers(0, len(depths) - 1)))
+        depths += [depth + 1, depth + 1]
+    return validate(sorted(depths))
+
+
+deep_pairs = st.integers(16, 128).flatmap(
+    lambda n: st.tuples(random_split(n), random_split(n))
+)
+
+
+@settings(max_examples=50)
+@given(deep_pairs)
+def test_meet_of_random_splits_is_a_valid_lower_bound(pair):
+    a, b = pair
+    low = meet(a, b)
+    assert leq_by_definition(low, a) and leq_by_definition(low, b)
+    assert low.last == min(a.last, b.last)
+    assert validate(low.components) == low
 
 
 @given(elements, st.data())

@@ -14,6 +14,7 @@ from imbalattice import (
     enumerate_universe,
     format_sequence,
     leq,
+    leq_by_definition,
     parse_components,
     scaled_partial_sums,
     suffix_length,
@@ -178,6 +179,20 @@ class TestCompare:
                 for b in pool:
                     expected = compare(a, b) in (OrderVerdict.EQUAL, OrderVerdict.MORE_BALANCED)
                     assert leq(a, b) == expected
+
+    def test_agrees_with_the_definition_both_ways(self):
+        verdicts = {
+            (True, True): OrderVerdict.EQUAL,
+            (True, False): OrderVerdict.MORE_BALANCED,
+            (False, True): OrderVerdict.LESS_BALANCED,
+            (False, False): OrderVerdict.INCOMPARABLE,
+        }
+        for n in range(1, 11):
+            pool = enumerate_universe(n).elements
+            for a in pool:
+                for b in pool:
+                    expected = verdicts[leq_by_definition(a, b), leq_by_definition(b, a)]
+                    assert compare(a, b) is expected
 
     def test_scale_independence(self):
         for n in range(1, 9):
