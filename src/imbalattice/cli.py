@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every public library operation is reachable from at least one subcommand;
-the ``COMMAND_OPERATIONS`` table records which command exercises what and
-is kept in sync with the package surface by a test.  Output is plain,
-stable and machine-readable: identical invocations print identical bytes.
+Every public library operation is reachable from at least one subcommand,
+directly or through the library calls it makes; a test runs one command
+line per subcommand under a profiler and checks that each is called.
+Output is plain, stable and machine-readable: identical invocations print
+identical bytes.
 
 Exit codes: 0 on success, 1 for invalid sequences or failed verification,
 2 for usage and parse errors (argparse's convention).
@@ -37,30 +38,7 @@ from .sequences import compare, format_sequence, parse_components, validate
 from .trees import canonical_code, tree_ascii, tree_dot, tree_from_sequence
 from .verify import CHECKS, run_checks
 
-__all__ = ["COMMAND_OPERATIONS", "main"]
-
-# command -> the public operations it drives (directly or through the
-# library calls it makes); the coverage test keeps this exhaustive.
-COMMAND_OPERATIONS: dict[str, tuple[str, ...]] = {
-    "enumerate": ("enumerate_universe", "format_sequence"),
-    "compare": ("validate", "parse_components", "compare", "scaled_partial_sums"),
-    "meet": ("meet", "contraction", "upper_expansion", "lower_expansion",
-             "suffix_length", "leq"),
-    "join": ("join",),
-    "hasse": ("hasse", "hasse_json", "hasse_dot"),
-    "irreducibles": ("is_join_irreducible_by_covers", "is_join_irreducible_by_balancing",
-                     "is_join_irreducible_by_decomposition", "decompose_segments",
-                     "is_near_constant"),
-    "balance": ("excess_indices", "balancing_step"),
-    "tree": ("tree_from_sequence", "tree_ascii", "tree_dot"),
-    "code": ("canonical_code",),
-    "verify": ("run_checks", "enumerate_by_partition", "leq_by_definition",
-               "meet_bruteforce", "join_bruteforce", "closure_equals_order",
-               "minimal_balancing_relation", "covering_pairs",
-               "covering_pairs_by_definition", "expansion_at",
-               "sequence_from_tree", "leaf_codewords", "nodes_within_depth",
-               "sum_components", "bottom", "top"),
-}
+__all__ = ["main"]
 
 
 def _components(text: str) -> tuple[int, ...]:

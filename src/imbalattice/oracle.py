@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotALattice, ResourceLimit
-from .lattice import DEFAULT_CEILING, LatticeUniverse, minimal_balancing_relation
+from .errors import NotALattice
+from .lattice import DEFAULT_CEILING, LatticeUniverse, _check_size, minimal_balancing_relation
 from .sequences import PathLengthSequence
 
 __all__ = [
@@ -65,7 +65,11 @@ class PropertyReport:
         return text
 
 
-@lru_cache(maxsize=None)
+# Holds every element of the universes up to n = 16 (3712 in all) at once.
+_FRACTION_SUMS_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_FRACTION_SUMS_CACHE_SIZE)
 def _fraction_sums(components: tuple[int, ...]) -> tuple[Fraction, ...]:
     sums = []
     acc = Fraction(0)
@@ -89,13 +93,7 @@ def enumerate_by_partition(n: int, ceiling: int = DEFAULT_CEILING) -> tuple[Path
     soon as the remaining components cannot reach the remaining budget even
     at the current (largest allowed) weight.
     """
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
-    if n > ceiling:
-        raise ResourceLimit(
-            f"n={n} exceeds the enumeration ceiling {ceiling}; "
-            "pass a larger ceiling explicitly to proceed"
-        )
+    _check_size(n, ceiling)
     found: list[tuple[int, ...]] = []
     prefix: list[int] = []
 

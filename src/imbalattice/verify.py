@@ -1,15 +1,18 @@
 """Named, machine-checkable law suite over the whole library.
 
 Each check sweeps every universe size up to a requested maximum and returns
-a ``PropertyReport``; the first counterexample found becomes the witness.
-The registry keys are the stable names the command line accepts, and the
-report order always follows the registry, so output is deterministic no
-matter how the checks are scheduled.
+the witness of the first counterexample it finds, or ``None`` when the law
+holds.  ``run_checks`` turns those results into ``PropertyReport``s named
+by the registry keys, which are the stable names the command line accepts;
+the report order always follows the registry, so output is deterministic
+no matter how the checks are scheduled.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from itertools import combinations_with_replacement, product
+from operator import le
+from typing import Callable, Iterable
 
 from .irreducibility import (
     decompose_segments,
@@ -40,9 +43,10 @@ from .oracle import (
     meet_bruteforce,
 )
 from .sequences import (
-    PathLengthSequence,
+    OrderVerdict,
     compare,
     leq,
+    scaled_partial_sums,
     suffix_length,
 )
 from .transforms import contraction, expansion_at, lower_expansion, upper_expansion
@@ -57,244 +61,232 @@ from .trees import (
 
 __all__ = ["CHECKS", "run_checks"]
 
-Check = Callable[[int, int], "PropertyReport"]
+Check = Callable[[int, int], "str | None"]
+
+# (first sums at most second's, second's at most first's) -> verdict
+_VERDICTS = {
+    (True, True): OrderVerdict.EQUAL,
+    (True, False): OrderVerdict.MORE_BALANCED,
+    (False, True): OrderVerdict.LESS_BALANCED,
+    (False, False): OrderVerdict.INCOMPARABLE,
+}
 
 
 def _sizes(max_n: int, start: int = 1) -> range:
     return range(start, max_n + 1)
 
 
-def _ordered_pairs(
-    elements: Iterable[PathLengthSequence],
-) -> Iterator[tuple[PathLengthSequence, PathLengthSequence]]:
-    pool = tuple(elements)
-    for a in pool:
-        for b in pool:
-            yield a, b
-
-
-def _check_partial_order_laws(max_n: int, ceiling: int) -> PropertyReport:
-    name = "partial-order-laws"
+def _check_partial_order_laws(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         pool = enumerate_universe(n, ceiling).elements
         for a in pool:
             if not leq(a, a):
-                return PropertyReport(name, max_n, "fail", f"not reflexive at {a}")
-        for a, b in _ordered_pairs(pool):
+                return f"not reflexive at {a}"
+        for a, b in product(pool, repeat=2):
             if leq(a, b) and leq(b, a) and a != b:
-                return PropertyReport(name, max_n, "fail", f"not antisymmetric: {a}, {b}")
+                return f"not antisymmetric: {a}, {b}"
         for a in pool:
             for b in pool:
                 if not leq(a, b):
                     continue
                 for c in pool:
                     if leq(b, c) and not leq(a, c):
-                        return PropertyReport(
-                            name, max_n, "fail", f"not transitive: {a}, {b}, {c}"
-                        )
-    return PropertyReport(name, max_n, "pass")
+                        return f"not transitive: {a}, {b}, {c}"
+    return None
 
 
-def _check_last_suffix_monotonicity(max_n: int, ceiling: int) -> PropertyReport:
-    name = "last-suffix-monotonicity"
+def _check_last_suffix_monotonicity(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
-        for a, b in _ordered_pairs(enumerate_universe(n, ceiling)):
+        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
             if not leq(a, b):
                 continue
             if a.last > b.last:
-                return PropertyReport(name, max_n, "fail", f"last {a} > last {b}")
+                return f"last {a} > last {b}"
             if a.last == b.last and suffix_length(a) > suffix_length(b):
-                return PropertyReport(name, max_n, "fail", f"suf {a} > suf {b}")
-    return PropertyReport(name, max_n, "pass")
+                return f"suf {a} > suf {b}"
+    return None
 
 
-def _check_scale_independence(max_n: int, ceiling: int) -> PropertyReport:
-    name = "scale-independence"
+def _check_scale_independence(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
-        for a, b in _ordered_pairs(enumerate_universe(n, ceiling)):
+        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
+            verdict = compare(a, b)
             base = max(a.last, b.last)
-            if any(compare(a, b, scale=base + extra) != compare(a, b) for extra in (1, 5)):
-                return PropertyReport(name, max_n, "fail", f"verdict varies: {a} vs {b}")
-    return PropertyReport(name, max_n, "pass")
+            for scale in (base, base + 1, base + 5):
+                if compare(a, b, scale=scale) != verdict:
+                    return f"verdict varies: {a} vs {b}"
+                x = scaled_partial_sums(a, scale).sums
+                y = scaled_partial_sums(b, scale).sums
+                if _VERDICTS[all(map(le, x, y)), all(map(le, y, x))] is not verdict:
+                    return f"partial sums disagree at scale {scale}: {a} vs {b}"
+    return None
 
 
-def _check_expansion_monotonicity(max_n: int, ceiling: int) -> PropertyReport:
-    name = "expansion-monotonicity"
+def _check_expansion_monotonicity(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
-        for a, b in _ordered_pairs(enumerate_universe(n, ceiling)):
+        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
             if leq(a, b):
                 if not leq(lower_expansion(a), lower_expansion(b)):
-                    return PropertyReport(name, max_n, "fail", f"lower fails: {a}, {b}")
+                    return f"lower fails: {a}, {b}"
                 if not leq(upper_expansion(a), upper_expansion(b)):
-                    return PropertyReport(name, max_n, "fail", f"upper fails: {a}, {b}")
-    return PropertyReport(name, max_n, "pass")
+                    return f"upper fails: {a}, {b}"
+    return None
 
 
-def _check_expansion_coincidence(max_n: int, ceiling: int) -> PropertyReport:
-    name = "expansion-coincidence"
+def _check_expansion_coincidence(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         for l in enumerate_universe(n, ceiling):
             constant = len(set(l.components)) == 1
             if constant != (lower_expansion(l) == upper_expansion(l)):
-                return PropertyReport(name, max_n, "fail", f"at {l}")
-    return PropertyReport(name, max_n, "pass")
+                return f"at {l}"
+    return None
 
 
-def _check_upper_lower_expansion(max_n: int, ceiling: int) -> PropertyReport:
-    name = "upper-lower-expansion"
+def _check_upper_lower_expansion(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
-        for a, b in _ordered_pairs(enumerate_universe(n, ceiling)):
+        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
             if leq(a, b) and a.last < b.last:
                 if not leq(upper_expansion(a), lower_expansion(b)):
-                    return PropertyReport(name, max_n, "fail", f"{a} vs {b}")
-    return PropertyReport(name, max_n, "pass")
+                    return f"{a} vs {b}"
+    return None
 
 
-def _check_contraction_sandwich(max_n: int, ceiling: int) -> PropertyReport:
-    name = "contraction-sandwich"
+def _check_contraction_sandwich(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n, start=2):
         for l in enumerate_universe(n, ceiling):
             squeezed = contraction(l)
             if not (leq(lower_expansion(squeezed), l) and leq(l, upper_expansion(squeezed))):
-                return PropertyReport(name, max_n, "fail", f"at {l}")
-    return PropertyReport(name, max_n, "pass")
+                return f"at {l}"
+    return None
 
 
-def _check_contraction_round_trip(max_n: int, ceiling: int) -> PropertyReport:
-    name = "contraction-round-trip"
+def _check_contraction_round_trip(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n, start=2):
         for l in enumerate_universe(n, ceiling):
             merged_position = n - suffix_length(l) + 1
             if expansion_at(contraction(l), merged_position) != l:
-                return PropertyReport(name, max_n, "fail", f"at {l}")
-    return PropertyReport(name, max_n, "pass")
+                return f"at {l}"
+    return None
 
 
-def _check_enumeration_oracle(max_n: int, ceiling: int) -> PropertyReport:
-    name = "enumeration-oracle"
+def _check_enumeration_oracle(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         fast = set(enumerate_universe(n, ceiling).elements)
         slow = set(enumerate_by_partition(n, ceiling))
         if fast != slow:
             extra = sorted(x.components for x in fast ^ slow)
-            return PropertyReport(name, max_n, "fail", f"n={n} differs at {extra[:3]}")
-    return PropertyReport(name, max_n, "pass")
+            return f"n={n} differs at {extra[:3]}"
+    return None
 
 
-def _check_bottom_top_extremes(max_n: int, ceiling: int) -> PropertyReport:
-    name = "bottom-top-extremes"
+def _check_bottom_top_extremes(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         pool = enumerate_universe(n, ceiling).elements
         least = [u for u in pool if all(leq(u, v) for v in pool)]
         greatest = [u for u in pool if all(leq(v, u) for v in pool)]
         if least != [bottom(n)]:
-            return PropertyReport(name, max_n, "fail", f"bottom({n}) != {least}")
+            return f"bottom({n}) != {least}"
         if greatest != [top(n)]:
-            return PropertyReport(name, max_n, "fail", f"top({n}) != {greatest}")
-    return PropertyReport(name, max_n, "pass")
+            return f"top({n}) != {greatest}"
+    return None
 
 
-def _check_excess_iff_not_bottom(max_n: int, ceiling: int) -> PropertyReport:
-    name = "excess-iff-not-bottom"
+def _check_excess_iff_not_bottom(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         for l in enumerate_universe(n, ceiling):
             no_excess = not excess_indices(l)
             flat = bool(is_near_constant(l.components))
             if not (no_excess == flat == (l == bottom(n))):
-                return PropertyReport(name, max_n, "fail", f"at {l}")
-    return PropertyReport(name, max_n, "pass")
+                return f"at {l}"
+    return None
 
 
-def _check_lattice_bounds_unique(max_n: int, ceiling: int) -> PropertyReport:
-    name = "lattice-bounds-unique"
+def _check_lattice_bounds_unique(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         universe = enumerate_universe(n, ceiling)
-        for a, b in _ordered_pairs(universe):
+        # the brute-force bounds are symmetric, so each unordered pair once
+        for a, b in combinations_with_replacement(universe.elements, 2):
             meet_bruteforce(a, b, universe)  # raises NotALattice on failure
             join_bruteforce(a, b, universe)
-    return PropertyReport(name, max_n, "pass")
+    return None
 
 
-def _check_meet_oracle_agreement(max_n: int, ceiling: int) -> PropertyReport:
-    name = "meet-oracle-agreement"
+def _check_meet_oracle_agreement(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         universe = enumerate_universe(n, ceiling)
-        for a, b in _ordered_pairs(universe):
-            if meet(a, b) != meet_bruteforce(a, b, universe):
-                return PropertyReport(name, max_n, "fail", f"meet({a}, {b})")
-            if join(a, b, ceiling) != join_bruteforce(a, b, universe):
-                return PropertyReport(name, max_n, "fail", f"join({a}, {b})")
-    return PropertyReport(name, max_n, "pass")
+        for a, b in combinations_with_replacement(universe.elements, 2):
+            low = meet_bruteforce(a, b, universe)
+            high = join_bruteforce(a, b, universe)
+            for s, t in ((a, b),) if a == b else ((a, b), (b, a)):
+                if meet(s, t) != low:
+                    return f"meet({s}, {t})"
+                if join(s, t, ceiling) != high:
+                    return f"join({s}, {t})"
+    return None
 
 
-def _check_meet_last_law(max_n: int, ceiling: int) -> PropertyReport:
-    name = "meet-last-law"
+def _check_meet_last_law(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
-        for a, b in _ordered_pairs(enumerate_universe(n, ceiling)):
+        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
             if meet(a, b).last != min(a.last, b.last):
-                return PropertyReport(name, max_n, "fail", f"meet({a}, {b})")
-    return PropertyReport(name, max_n, "pass")
+                return f"meet({a}, {b})"
+    return None
 
 
-def _check_meet_semilattice_laws(max_n: int, ceiling: int) -> PropertyReport:
-    name = "meet-semilattice-laws"
+def _check_meet_semilattice_laws(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         pool = enumerate_universe(n, ceiling).elements
         for a in pool:
             if meet(a, a) != a:
-                return PropertyReport(name, max_n, "fail", f"not idempotent at {a}")
-        for a, b in _ordered_pairs(pool):
+                return f"not idempotent at {a}"
+        for a, b in product(pool, repeat=2):
             low = meet(a, b)
             if low != meet(b, a):
-                return PropertyReport(name, max_n, "fail", f"not commutative: {a}, {b}")
+                return f"not commutative: {a}, {b}"
             if not (leq(low, a) and leq(low, b)):
-                return PropertyReport(name, max_n, "fail", f"not a lower bound: {a}, {b}")
+                return f"not a lower bound: {a}, {b}"
         for a in pool:
             for b in pool:
                 low = meet(a, b)
                 for c in pool:
                     if leq(c, a) and leq(c, b) and not leq(c, low):
-                        return PropertyReport(name, max_n, "fail", f"not greatest: {a}, {b}, {c}")
+                        return f"not greatest: {a}, {b}, {c}"
                     if meet(low, c) != meet(a, meet(b, c)):
-                        return PropertyReport(name, max_n, "fail", f"not associative: {a}, {b}, {c}")
-    return PropertyReport(name, max_n, "pass")
+                        return f"not associative: {a}, {b}, {c}"
+    return None
 
 
-def _check_join_absorption(max_n: int, ceiling: int) -> PropertyReport:
-    name = "join-absorption"
+def _check_join_absorption(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
-        for a, b in _ordered_pairs(enumerate_universe(n, ceiling)):
+        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
             if join(a, meet(a, b), ceiling) != a:
-                return PropertyReport(name, max_n, "fail", f"join-absorb: {a}, {b}")
+                return f"join-absorb: {a}, {b}"
             if meet(a, join(a, b, ceiling)) != a:
-                return PropertyReport(name, max_n, "fail", f"meet-absorb: {a}, {b}")
-    return PropertyReport(name, max_n, "pass")
+                return f"meet-absorb: {a}, {b}"
+    return None
 
 
-def _check_closure_equals_order(max_n: int, ceiling: int) -> PropertyReport:
-    name = "closure-equals-order"
+def _check_closure_equals_order(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         report = closure_equals_order(n, ceiling)
         if not report.passed:
-            return PropertyReport(name, max_n, "fail", f"n={n}: {report.witness}")
-    return PropertyReport(name, max_n, "pass")
+            return f"n={n}: {report.witness}"
+    return None
 
 
-def _check_covering_within_balancing(max_n: int, ceiling: int) -> PropertyReport:
-    name = "covering-within-balancing"
+def _check_covering_within_balancing(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         covers = covering_pairs(n, ceiling)
         if covers != covering_pairs_by_definition(n, ceiling):
-            return PropertyReport(name, max_n, "fail", f"n={n}: covers differ from the definition")
+            return f"n={n}: covers differ from the definition"
         steps = {(s.target, s.source) for s in minimal_balancing_relation(n, ceiling)}
         for low, high in covers:
             if (low, high) not in steps:
-                return PropertyReport(name, max_n, "fail", f"cover {low} < {high}")
-    return PropertyReport(name, max_n, "pass")
+                return f"cover {low} < {high}"
+    return None
 
 
-def _check_balancing_step_decrement(max_n: int, ceiling: int) -> PropertyReport:
-    name = "balancing-step-decrement"
+def _check_balancing_step_decrement(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         for step in minimal_balancing_relation(n, ceiling):
             l, j, target = step.source, step.excess_index, step.target
@@ -302,14 +294,13 @@ def _check_balancing_step_decrement(max_n: int, ceiling: int) -> PropertyReport:
             shallow = max(c for c in l if c <= deep - 2)
             drop = sum_components(l) - sum_components(target)
             if drop != deep - shallow - 1 or drop < 1:
-                return PropertyReport(name, max_n, "fail", f"{l} at {j}")
+                return f"{l} at {j}"
             if not (leq(target, l) and target != l):
-                return PropertyReport(name, max_n, "fail", f"{l} at {j} not a descent")
-    return PropertyReport(name, max_n, "pass")
+                return f"{l} at {j} not a descent"
+    return None
 
 
-def _check_irreducibility_triple_agreement(max_n: int, ceiling: int) -> PropertyReport:
-    name = "irreducibility-triple-agreement"
+def _check_irreducibility_triple_agreement(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         universe = enumerate_universe(n, ceiling)
         for l in universe:
@@ -317,60 +308,54 @@ def _check_irreducibility_triple_agreement(max_n: int, ceiling: int) -> Property
             by_balancing = is_join_irreducible_by_balancing(l)
             by_shape = is_join_irreducible_by_decomposition(l)
             if not (by_covers == by_balancing == by_shape):
-                return PropertyReport(
-                    name, max_n, "fail",
-                    f"{l}: covers={by_covers} balancing={by_balancing} shape={by_shape}",
-                )
+                return f"{l}: covers={by_covers} balancing={by_balancing} shape={by_shape}"
             if decompose_segments(l).concatenation() != l.components:
-                return PropertyReport(name, max_n, "fail", f"split broken at {l}")
-    return PropertyReport(name, max_n, "pass")
+                return f"split broken at {l}"
+    return None
 
 
-def _check_unique_cover_first_step(max_n: int, ceiling: int) -> PropertyReport:
-    name = "unique-cover-first-step"
+def _check_unique_cover_first_step(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n, start=2):
         universe = enumerate_universe(n, ceiling)
         for l in universe:
             if not is_join_irreducible_by_covers(l, universe):
                 continue
             if _lower_covers(l) != [balancing_step(l, excess_indices(l)[0])]:
-                return PropertyReport(name, max_n, "fail", f"at {l}")
-    return PropertyReport(name, max_n, "pass")
+                return f"at {l}"
+    return None
 
 
-def _check_monotone_parameters(max_n: int, ceiling: int) -> PropertyReport:
-    name = "monotone-parameters"
+def _check_monotone_parameters(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
-        for a, b in _ordered_pairs(enumerate_universe(n, ceiling)):
+        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
             if not leq(a, b):
                 continue
             if a != b and not sum_components(a) < sum_components(b):
-                return PropertyReport(name, max_n, "fail", f"sum not strict: {a}, {b}")
+                return f"sum not strict: {a}, {b}"
             for d in range(n + 1):
                 if nodes_within_depth(a, d) < nodes_within_depth(b, d):
-                    return PropertyReport(name, max_n, "fail", f"{a}, {b} at d={d}")
-    return PropertyReport(name, max_n, "pass")
+                    return f"{a}, {b} at d={d}"
+    return None
 
 
-def _check_kraft_realization(max_n: int, ceiling: int) -> PropertyReport:
-    name = "kraft-realization"
+def _check_kraft_realization(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         for l in enumerate_universe(n, ceiling):
             code = canonical_code(l)
             if tuple(len(w) for w in code) != l.components:
-                return PropertyReport(name, max_n, "fail", f"lengths differ at {l}")
+                return f"lengths differ at {l}"
             for a in code:
                 for b in code:
                     if a != b and b.startswith(a):
-                        return PropertyReport(name, max_n, "fail", f"prefix clash at {l}")
+                        return f"prefix clash at {l}"
             tree = tree_from_sequence(l)
             if sequence_from_tree(tree) != l:
-                return PropertyReport(name, max_n, "fail", f"round trip at {l}")
+                return f"round trip at {l}"
             if tree_from_sequence(sequence_from_tree(tree)) != tree:
-                return PropertyReport(name, max_n, "fail", f"tree round trip at {l}")
+                return f"tree round trip at {l}"
             if tuple(sorted(leaf_codewords(tree))) != tuple(sorted(code)):
-                return PropertyReport(name, max_n, "fail", f"codewords differ at {l}")
-    return PropertyReport(name, max_n, "pass")
+                return f"codewords differ at {l}"
+    return None
 
 
 CHECKS: dict[str, Check] = {
@@ -414,4 +399,10 @@ def run_checks(
     unknown = selected - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    return [check(max_n, ceiling) for name, check in CHECKS.items() if name in selected]
+    reports = []
+    for name, check in CHECKS.items():
+        if name in selected:
+            witness = check(max_n, ceiling)
+            status = "pass" if witness is None else "fail"
+            reports.append(PropertyReport(name, max_n, status, witness))
+    return reports

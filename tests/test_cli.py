@@ -1,6 +1,7 @@
 import inspect
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,8 +18,9 @@ from imbalattice import (
     tree_from_sequence,
     validate,
 )
-from imbalattice.cli import COMMAND_OPERATIONS, main
-from imbalattice.verify import CHECKS
+import imbalattice.verify
+from imbalattice.cli import main
+from imbalattice.verify import CHECKS, run_checks
 
 
 def run(capsys, *argv):
@@ -155,6 +157,13 @@ class TestVerifyCommand:
             "property": "meet-last-law", "n": 4, "status": "pass", "witness": None,
         }
 
+    def test_a_wrong_meet_is_reported_with_its_witness(self, capsys, monkeypatch):
+        monkeypatch.setattr(imbalattice.verify, "meet", lambda s, t: s)
+        (report,) = run_checks(4, ["meet-oracle-agreement"])
+        assert (report.status, report.witness) == ("fail", "meet(1,2,3,3, 2,2,2,2)")
+        code, out, _ = run(capsys, "verify", "4", "--property", "meet-oracle-agreement")
+        assert (code, out) == (1, "fail meet-oracle-agreement (n=4) -- meet(1,2,3,3, 2,2,2,2)\n")
+
 
 class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
@@ -210,15 +219,40 @@ class TestDeterminism:
 
 
 class TestCoverage:
-    def test_every_operation_reachable_from_a_command(self):
+    def test_every_operation_reachable_from_a_command(self, capsys, tmp_path):
         operations = {
-            name
+            getattr(imbalattice, name).__code__: name
             for name in imbalattice.__all__
             if callable(getattr(imbalattice, name))
             and not inspect.isclass(getattr(imbalattice, name))
         }
-        covered = set().union(*COMMAND_OPERATIONS.values())
-        assert operations == covered
+        dot = str(tmp_path / "out.dot")
+        command_lines = [
+            ["enumerate", "5"],
+            ["compare", "2,2,2,3,3", "1,3,3,3,3"],
+            ["meet", "2,2,2,3,4,5,5", "1,3,3,4,4,4,4"],
+            ["join", "2,2,2,3,4,5,5", "1,3,3,4,4,4,4"],
+            ["hasse", "5", "--dot", dot, "--json"],
+            ["irreducibles", "7"],
+            ["balance", "1,3,3,3,4,5,5"],
+            ["tree", "1,2,3,3", "--dot", dot],
+            ["code", "1,2,3,3"],
+            ["verify", "5"],
+        ]
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in operations:
+                called.add(operations[frame.f_code])
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            codes = [main(argv) for argv in command_lines]
+        finally:
+            sys.setprofile(previous)
+        assert codes == [0] * len(command_lines)
+        assert set(operations.values()) - called == set()
 
 
 # Cheap command lines for the fuzz below: lengths up to 8 (plus the

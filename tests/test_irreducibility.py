@@ -70,10 +70,8 @@ class TestDecomposition:
         assert (split.head, split.middle, split.tail) == ((1,), (), (3, 3, 4, 4, 4, 4))
         assert split.satisfies_all()
 
-    def test_concatenation_identity(self):
-        for n in range(1, 10):
-            for l in enumerate_universe(n):
-                assert decompose_segments(l).concatenation() == l.components
+    def test_concatenation_identity(self, holds):
+        holds(9, "irreducibility-triple-agreement")
 
 
 class TestCoverCounting:
@@ -121,16 +119,8 @@ class TestDecompositionCriterion:
 
 
 class TestAgreement:
-    def test_triple_agreement(self):
-        for n in range(1, 15):
-            universe = enumerate_universe(n)
-            for l in universe:
-                verdicts = {
-                    is_join_irreducible_by_covers(l, universe),
-                    is_join_irreducible_by_balancing(l),
-                    is_join_irreducible_by_decomposition(l),
-                }
-                assert len(verdicts) == 1, l
+    def test_triple_agreement(self, holds):
+        holds(14, "irreducibility-triple-agreement")
 
     def test_seven_universe_exceptions(self):
         universe = enumerate_universe(7)

@@ -9,7 +9,6 @@ from imbalattice import (
     balancing_step,
     bottom,
     covering_pairs,
-    covering_pairs_by_definition,
     enumerate_universe,
     excess_indices,
     expansion_at,
@@ -17,12 +16,10 @@ from imbalattice import (
     hasse_dot,
     hasse_json,
     join,
-    join_bruteforce,
     leq,
     leq_by_definition,
     meet,
     minimal_balancing_relation,
-    sum_components,
     top,
     validate,
 )
@@ -103,31 +100,11 @@ class TestMeet:
         with pytest.raises(LengthMismatch):
             meet(seq(0), seq(1, 1))
 
-    def test_last_law(self):
-        for n in range(1, 10):
-            pool = enumerate_universe(n).elements
-            for s in pool:
-                for t in pool:
-                    assert meet(s, t).last == min(s.last, t.last)
+    def test_last_law(self, holds):
+        holds(9, "meet-last-law")
 
-    def test_semilattice_laws(self):
-        for n in range(1, 9):
-            pool = enumerate_universe(n).elements
-            for s in pool:
-                assert meet(s, s) == s
-                for t in pool:
-                    low = meet(s, t)
-                    assert low == meet(t, s)
-                    assert leq(low, s) and leq(low, t)
-        for n in range(1, 8):
-            pool = enumerate_universe(n).elements
-            for s in pool:
-                for t in pool:
-                    low = meet(s, t)
-                    for u in pool:
-                        if leq(u, s) and leq(u, t):
-                            assert leq(u, low)
-                        assert meet(low, u) == meet(s, meet(t, u))
+    def test_semilattice_laws(self, holds):
+        holds(8, "meet-semilattice-laws")
 
     def test_deep_arguments_need_no_recursion(self):
         s, t = top(2000), bottom(2000)
@@ -155,20 +132,11 @@ class TestJoin:
         with pytest.raises(LengthMismatch):
             join(seq(0), seq(1, 1))
 
-    def test_matches_the_bruteforce_join(self):
-        for n in range(1, 9):
-            universe = enumerate_universe(n)
-            for s in universe:
-                for t in universe:
-                    assert join(s, t) == join_bruteforce(s, t, universe)
+    def test_matches_the_bruteforce_join(self, holds):
+        holds(8, "meet-oracle-agreement")
 
-    def test_absorption(self):
-        for n in range(1, 9):
-            pool = enumerate_universe(n).elements
-            for s in pool:
-                for t in pool:
-                    assert join(s, meet(s, t)) == s
-                    assert meet(s, join(s, t)) == s
+    def test_absorption(self, holds):
+        holds(8, "join-absorption")
 
 
 class TestExcessIndices:
@@ -197,16 +165,8 @@ class TestBalancingStep:
         with pytest.raises(NotAnExcessIndex):
             balancing_step(seq(1, 2, 3, 4, 4), 2)
 
-    def test_strict_descent_by_exact_amount(self):
-        for n in range(1, 10):
-            for l in enumerate_universe(n):
-                for j in excess_indices(l):
-                    target = balancing_step(l, j)
-                    deep = l[j - 1]
-                    shallow = max(c for c in l if c <= deep - 2)
-                    assert sum_components(l) - sum_components(target) == deep - shallow - 1
-                    assert deep - shallow - 1 >= 1
-                    assert leq(target, l) and target != l
+    def test_strict_descent_by_exact_amount(self, holds):
+        holds(9, "balancing-step-decrement")
 
 
 class TestMinimalBalancingRelation:
@@ -252,15 +212,10 @@ class TestCovering:
         doubled = [el for el, c in lower_cover_counts.items() if c == 2]
         assert [el.components for el in doubled] == [(1, 3, 3, 3, 4, 5, 5)]
 
-    def test_cover_edges_match_the_definition(self):
+    def test_cover_edges_match_the_definition(self, holds):
         # Covers come from balancing steps; the oracle reduces the
         # definition-level order over its own enumeration.
-        for n in range(1, 13):
-            universe = hasse(n)
-            edges = [
-                (universe.elements[a], universe.elements[b]) for a, b in universe.cover_edges
-            ]
-            assert tuple(edges) == covering_pairs_by_definition(n), n
+        holds(12, "covering-within-balancing")
 
     def test_chain_below_seven_and_first_incomparable_pair(self):
         for n in range(1, 7):
@@ -285,11 +240,8 @@ class TestBottomTop:
         assert bottom(1) == top(1) == seq(0)
         assert bottom(7) == seq(2, 3, 3, 3, 3, 3, 3)
 
-    def test_match_enumerated_extremes(self):
-        for n in range(1, 11):
-            pool = enumerate_universe(n).elements
-            assert [u for u in pool if all(leq(u, v) for v in pool)] == [bottom(n)]
-            assert [u for u in pool if all(leq(v, u) for v in pool)] == [top(n)]
+    def test_match_enumerated_extremes(self, holds):
+        holds(10, "bottom-top-extremes")
 
 
 class TestHasseExports:

@@ -10,16 +10,14 @@ from imbalattice import (
     covering_pairs_by_definition,
     enumerate_by_partition,
     enumerate_universe,
-    join,
     join_bruteforce,
     leq,
     leq_by_definition,
-    meet,
     meet_bruteforce,
     validate,
 )
 from imbalattice.errors import ElementNotInUniverse
-from imbalattice.oracle import PropertyReport
+from imbalattice.oracle import PropertyReport, _fraction_sums
 
 
 def seq(*components):
@@ -40,9 +38,8 @@ class TestEnumerateByPartition:
     def test_count_at_ten(self):
         assert len(enumerate_by_partition(10)) == 50
 
-    def test_matches_expansion_closure(self):
-        for n in range(1, 13):
-            assert set(enumerate_by_partition(n)) == set(enumerate_universe(n).elements)
+    def test_matches_expansion_closure(self, holds):
+        holds(12, "enumeration-oracle")
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimit):
@@ -60,6 +57,15 @@ class TestDefinitionOrder:
     def test_different_lengths_never_related(self):
         assert not leq_by_definition(seq(0), seq(1, 1))
 
+    def test_partial_sums_cache_is_bounded(self):
+        bound = _fraction_sums.cache_info().maxsize
+        assert bound >= sum(len(enumerate_universe(n)) for n in range(1, 17))
+        pool = [*enumerate_universe(16), *enumerate_universe(17)]
+        assert len(pool) > bound
+        for l in pool:
+            assert leq_by_definition(l, l)
+        assert _fraction_sums.cache_info().currsize <= bound
+
 
 class TestBruteforceBounds:
     def test_meet_bottom_is_neutral(self):
@@ -72,13 +78,8 @@ class TestBruteforceBounds:
         got = join_bruteforce(seq(2, 2, 2, 3, 4, 5, 5), seq(1, 3, 3, 4, 4, 4, 4), universe)
         assert got == seq(1, 3, 3, 3, 4, 5, 5)
 
-    def test_never_not_a_lattice_and_agrees(self):
-        for n in range(1, 8):
-            universe = enumerate_universe(n)
-            for s in universe:
-                for t in universe:
-                    assert meet_bruteforce(s, t, universe) == meet(s, t)
-                    assert join_bruteforce(s, t, universe) == join(s, t)
+    def test_never_not_a_lattice_and_agrees(self, holds):
+        holds(7, "lattice-bounds-unique", "meet-oracle-agreement")
 
     def test_membership_required(self):
         with pytest.raises(ElementNotInUniverse):

@@ -8,7 +8,6 @@ from imbalattice import (
     expansion_at,
     leq,
     lower_expansion,
-    suffix_length,
     upper_expansion,
     validate,
 )
@@ -52,22 +51,13 @@ class TestUpperLowerExpansion:
         assert lower_expansion(seq(2, 2, 2, 2)) == seq(2, 2, 2, 3, 3)
         assert lower_expansion(seq(1, 3, 3, 3, 3)) == seq(2, 2, 3, 3, 3, 3)
 
-    def test_coincide_exactly_on_constant(self):
-        for n in range(1, 10):
-            for l in enumerate_universe(n):
-                constant = len(set(l.components)) == 1
-                assert (lower_expansion(l) == upper_expansion(l)) == constant
+    def test_coincide_exactly_on_constant(self, holds):
+        holds(9, "expansion-coincidence")
 
-    def test_monotone(self):
-        for n in range(1, 10):
-            pool = enumerate_universe(n).elements
-            for a in pool:
-                for b in pool:
-                    if leq(a, b):
-                        assert leq(lower_expansion(a), lower_expansion(b))
-                        assert leq(upper_expansion(a), upper_expansion(b))
+    def test_monotone(self, holds):
+        holds(9, "expansion-monotonicity")
 
-    def test_upper_below_lower_across_depth_gap(self):
+    def test_upper_below_lower_across_depth_gap(self, holds):
         # l below h with strictly smaller last depth forces l+ below h's
         # lower expansion; worked instance first, then exhaustively.
         l, h = seq(2, 2, 3, 3, 3, 3), seq(1, 2, 3, 4, 5, 5)
@@ -75,12 +65,7 @@ class TestUpperLowerExpansion:
         assert upper_expansion(l) == seq(2, 2, 3, 3, 3, 4, 4)
         assert lower_expansion(h) == seq(1, 2, 3, 5, 5, 5, 5)
         assert leq(upper_expansion(l), lower_expansion(h))
-        for n in range(1, 10):
-            pool = enumerate_universe(n).elements
-            for a in pool:
-                for b in pool:
-                    if leq(a, b) and a.last < b.last:
-                        assert leq(upper_expansion(a), lower_expansion(b))
+        holds(9, "upper-lower-expansion")
 
 
 class TestContraction:
@@ -97,16 +82,9 @@ class TestContraction:
         with pytest.raises(SingletonSequence):
             contraction(seq(0))
 
-    def test_sandwich(self):
-        for n in range(2, 11):
-            for l in enumerate_universe(n):
-                squeezed = contraction(l)
-                assert leq(lower_expansion(squeezed), l)
-                assert leq(l, upper_expansion(squeezed))
+    def test_sandwich(self, holds):
+        holds(10, "contraction-sandwich")
 
-    def test_round_trip_at_merged_position(self):
+    def test_round_trip_at_merged_position(self, holds):
         # the merged component sits at position n - suf + 1 of the contraction
-        for n in range(2, 11):
-            for l in enumerate_universe(n):
-                position = n - suffix_length(l) + 1
-                assert expansion_at(contraction(l), position) == l
+        holds(10, "contraction-round-trip")
