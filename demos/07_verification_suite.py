@@ -3,7 +3,7 @@
 
 Everything the library computes cleverly is recomputed here the dumb way:
 enumeration by dyadic partition search, order checks from the definition
-with exact rationals, meets and joins by exhaustive scan, and the closure
+with exact integer partial sums, meets and joins by exhaustive scan, and the closure
 of the balancing relation by relational squaring.
 """
 

@@ -186,10 +186,10 @@ def join(
 ) -> PathLengthSequence:
     """Least upper bound, as the meet-fold over all enumerated upper bounds.
 
-    The order gives no dual recursion for joins, but the universe is finite
-    and closed under meets, so folding the meet over the (never empty) set
-    of common upper bounds yields the join.  Needs ``len(s)`` within the
-    enumeration ceiling.
+    The meet-fold is what is implemented: the universe is finite and closed
+    under meets, so folding the meet over the (never empty) set of common
+    upper bounds yields the join.  Needs ``len(s)`` within the enumeration
+    ceiling.
     """
     if len(s) != len(t):
         raise LengthMismatch(f"cannot join lengths {len(s)} and {len(t)}")

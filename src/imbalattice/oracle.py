@@ -3,11 +3,12 @@
 Nothing here is a production path.  The point of this module is to share as
 little as possible with the fast implementations so that agreement between
 the two is evidence rather than tautology: order checks recompute partial
-sums as exact rationals straight from the definition, enumeration searches
-dyadic partitions of 1 instead of closing under expansions, meets and
-joins are found by exhaustive scans over a universe, and cover pairs come
-from a cubic transitive reduction of the definition-level order instead of
-from balancing steps.
+sums straight from the definition as exact integers (in units of the
+smallest weight, computed here rather than borrowed from the order code),
+enumeration searches dyadic partitions of 1 instead of closing under
+expansions, meets and joins are found by exhaustive scans over a universe,
+and cover pairs come from a cubic transitive reduction of the
+definition-level order instead of from balancing steps.
 
 ``closure_equals_order`` is the one deliberate exception: it consumes the
 minimal balancing relation (the artifact under test) and checks that its
@@ -21,6 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import le
 
 from .errors import NotALattice
 from .lattice import DEFAULT_CEILING, LatticeUniverse, _check_size, minimal_balancing_relation
@@ -66,24 +68,38 @@ class PropertyReport:
 
 
 # Holds every element of the universes up to n = 16 (3712 in all) at once.
-_FRACTION_SUMS_CACHE_SIZE = 4096
+_PARTIAL_SUMS_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=_FRACTION_SUMS_CACHE_SIZE)
-def _fraction_sums(components: tuple[int, ...]) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=_PARTIAL_SUMS_CACHE_SIZE)
+def _scaled_sums(components: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``(d, sums)``: the partial sums of the weights ``2**-depth``, each an
+    exact integer count of ``2**-d`` units, with ``d`` the largest depth."""
+    scale = max(components)
     sums = []
-    acc = Fraction(0)
+    acc = 0
     for depth in components:
-        acc += Fraction(1, 2**depth)
+        acc += 1 << (scale - depth)
         sums.append(acc)
-    return tuple(sums)
+    return scale, tuple(sums)
 
 
 def leq_by_definition(l: PathLengthSequence, h: PathLengthSequence) -> bool:
-    """Definition-level order check via exact rational partial sums."""
-    a = _fraction_sums(l.components)
-    b = _fraction_sums(h.components)
-    return len(a) == len(b) and all(x <= y for x, y in zip(a, b))
+    """Definition-level order check via exact integer partial sums.
+
+    Each side's sums count units of ``2**-d`` for its own largest depth
+    ``d``; the coarser side is shifted to the finer scale before the
+    componentwise comparison.
+    """
+    if len(l.components) != len(h.components):
+        return False
+    scale_l, a = _scaled_sums(l.components)
+    scale_h, b = _scaled_sums(h.components)
+    if scale_l < scale_h:
+        a = [x << (scale_h - scale_l) for x in a]
+    elif scale_h < scale_l:
+        b = [y << (scale_l - scale_h) for y in b]
+    return all(map(le, a, b))
 
 
 def enumerate_by_partition(n: int, ceiling: int = DEFAULT_CEILING) -> tuple[PathLengthSequence, ...]:
@@ -182,7 +198,7 @@ def closure_equals_order(n: int, ceiling: int = DEFAULT_CEILING) -> PropertyRepo
     """Does the closure of the minimal balancing relation equal the order?
 
     The closure is computed by iterative relational squaring over the
-    independently enumerated universe; the order side uses the rational
+    independently enumerated universe; the order side uses the integer
     definition-level check.  Discrepancy pairs, if any, become the witness.
     """
     elements = enumerate_by_partition(n, ceiling)

@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement, product
 from operator import le
 from typing import Callable, Iterable
 
+from .errors import ImbalatticeError
 from .irreducibility import (
     decompose_segments,
     is_join_irreducible_by_balancing,
@@ -23,6 +24,7 @@ from .irreducibility import (
 )
 from .lattice import (
     DEFAULT_CEILING,
+    _check_size,
     _lower_covers,
     bottom,
     covering_pairs,
@@ -44,6 +46,7 @@ from .oracle import (
 )
 from .sequences import (
     OrderVerdict,
+    PathLengthSequence,
     compare,
     leq,
     scaled_partial_sums,
@@ -76,22 +79,39 @@ def _sizes(max_n: int, start: int = 1) -> range:
     return range(start, max_n + 1)
 
 
+def _order_masks(pool: tuple[PathLengthSequence, ...]) -> tuple[list[int], list[int]]:
+    """Per element index, the bitmasks of the indices below it (``down``) and
+    above it (``up``), from one public ``leq`` call per ordered pair."""
+    down = [0] * len(pool)
+    up = [0] * len(pool)
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            if leq(a, b):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return down, up
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def _check_partial_order_laws(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
         pool = enumerate_universe(n, ceiling).elements
-        for a in pool:
-            if not leq(a, a):
+        _, up = _order_masks(pool)
+        for i, a in enumerate(pool):
+            if not up[i] >> i & 1:
                 return f"not reflexive at {a}"
-        for a, b in product(pool, repeat=2):
-            if leq(a, b) and leq(b, a) and a != b:
+        for (i, a), (j, b) in product(enumerate(pool), repeat=2):
+            if i != j and up[i] >> j & 1 and up[j] >> i & 1:
                 return f"not antisymmetric: {a}, {b}"
-        for a in pool:
-            for b in pool:
-                if not leq(a, b):
-                    continue
-                for c in pool:
-                    if leq(b, c) and not leq(a, c):
-                        return f"not transitive: {a}, {b}, {c}"
+        # transitive: whatever lies above b also lies above every a <= b
+        for i, a in enumerate(pool):
+            for j, b in enumerate(pool):
+                escaped = up[j] & ~up[i]
+                if up[i] >> j & 1 and escaped:
+                    return f"not transitive: {a}, {b}, {pool[_lowest_bit(escaped)]}"
     return None
 
 
@@ -235,24 +255,35 @@ def _check_meet_last_law(max_n: int, ceiling: int) -> str | None:
 
 def _check_meet_semilattice_laws(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
-        pool = enumerate_universe(n, ceiling).elements
-        for a in pool:
-            if meet(a, a) != a:
+        universe = enumerate_universe(n, ceiling)
+        pool = universe.elements
+        # one meet per ordered pair; the triple laws are index lookups
+        table = [[universe.index(meet(a, b)) for b in pool] for a in pool]
+        for i, a in enumerate(pool):
+            if table[i][i] != i:
                 return f"not idempotent at {a}"
-        for a, b in product(pool, repeat=2):
-            low = meet(a, b)
-            if low != meet(b, a):
+        down, _ = _order_masks(pool)
+        for (i, a), (j, b) in product(enumerate(pool), repeat=2):
+            low = table[i][j]
+            if low != table[j][i]:
                 return f"not commutative: {a}, {b}"
-            if not (leq(low, a) and leq(low, b)):
+            if not (down[i] >> low & 1 and down[j] >> low & 1):
                 return f"not a lower bound: {a}, {b}"
-        for a in pool:
-            for b in pool:
-                low = meet(a, b)
-                for c in pool:
-                    if leq(c, a) and leq(c, b) and not leq(c, low):
-                        return f"not greatest: {a}, {b}, {c}"
-                    if meet(low, c) != meet(a, meet(b, c)):
-                        return f"not associative: {a}, {b}, {c}"
+        for (i, a), (j, b) in product(enumerate(pool), repeat=2):
+            low = table[i][j]
+            # bit k set: pool[k] is below a and b but not below their meet
+            not_greatest = down[i] & down[j] & ~down[low]
+            left = table[low]  # meet(meet(a, b), c) for every c
+            right = [table[i][k] for k in table[j]]  # meet(a, meet(b, c))
+            not_associative = 0
+            if left != right:
+                not_associative = sum(
+                    1 << k for k, (x, y) in enumerate(zip(left, right)) if x != y
+                )
+            if not_greatest or not_associative:
+                k = _lowest_bit(not_greatest | not_associative)
+                law = "greatest" if not_greatest >> k & 1 else "associative"
+                return f"not {law}: {a}, {b}, {pool[k]}"
     return None
 
 
@@ -393,16 +424,23 @@ def run_checks(
     """Run the named checks (all by default) for sizes up to ``max_n``.
 
     Reports come back in registry order regardless of the order names were
-    given in, keeping output stable.
+    given in, keeping output stable.  Sizes beyond ``ceiling`` are refused
+    before any check runs; after that, an ``ImbalatticeError`` raised inside
+    a check becomes that check's failure, with the error as its witness, and
+    the remaining checks still run.
     """
     selected = set(CHECKS) if names is None else set(names)
     unknown = selected - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    _check_size(max_n, ceiling)
     reports = []
     for name, check in CHECKS.items():
         if name in selected:
-            witness = check(max_n, ceiling)
+            try:
+                witness = check(max_n, ceiling)
+            except ImbalatticeError as exc:
+                witness = f"{type(exc).__name__}: {exc}"
             status = "pass" if witness is None else "fail"
             reports.append(PropertyReport(name, max_n, status, witness))
     return reports

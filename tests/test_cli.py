@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import imbalattice
 from imbalattice import (
+    NotALattice,
     enumerate_universe,
     format_sequence,
     hasse,
@@ -164,6 +165,33 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "4", "--property", "meet-oracle-agreement")
         assert (code, out) == (1, "fail meet-oracle-agreement (n=4) -- meet(1,2,3,3, 2,2,2,2)\n")
 
+    def test_an_error_inside_one_check_fails_only_that_check(self, capsys, monkeypatch):
+        def no_unique_bound(s, t, universe):
+            raise NotALattice(f"lower bounds of {s} and {t} have no unique maximum")
+
+        monkeypatch.setattr(imbalattice.verify, "meet_bruteforce", no_unique_bound)
+        code, out, _ = run(capsys, "verify", "4")
+        lines = out.splitlines()
+        assert code == 1
+        assert len(lines) == len(CHECKS)
+        assert (
+            "fail lattice-bounds-unique (n=4) -- "
+            "NotALattice: lower bounds of 0 and 0 have no unique maximum"
+        ) in lines
+        assert "pass meet-last-law (n=4)" in lines
+
+    def test_a_meet_outside_the_universe_is_a_witness(self, monkeypatch):
+        monkeypatch.setattr(imbalattice.verify, "meet", lambda s, t: validate((0,)))
+        (report,) = run_checks(2, ["meet-semilattice-laws"])
+        assert (report.status, report.witness) == (
+            "fail", "ElementNotInUniverse: 0 is not a length-2 sequence",
+        )
+
+    def test_size_beyond_the_ceiling_is_refused_before_any_check(self, capsys):
+        code, out, err = run(capsys, "verify", "21")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "ceiling" in err
+
 
 class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
@@ -210,7 +238,7 @@ class TestDeterminism:
         assert first == second
 
 
-    @pytest.mark.parametrize("command", ["hasse 14", "irreducibles 14"])
+    @pytest.mark.parametrize("command", ["hasse 14", "irreducibles 14", "verify 8"])
     def test_matches_benchmark_reference(self, capsys, command):
         reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "cli.json"
         expected = json.loads(reference.read_text())[command]

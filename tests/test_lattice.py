@@ -24,6 +24,8 @@ from imbalattice import (
     validate,
 )
 from imbalattice.errors import ElementNotInUniverse
+import imbalattice.verify
+from imbalattice.verify import run_checks
 
 NINE_OF_SEVEN = [
     (1, 2, 3, 4, 5, 6, 6),
@@ -104,7 +106,28 @@ class TestMeet:
         holds(9, "meet-last-law")
 
     def test_semilattice_laws(self, holds):
-        holds(8, "meet-semilattice-laws")
+        holds(10, "meet-semilattice-laws")
+
+    # Each planted meet answers one pair with a common lower bound strictly
+    # below the true meet, so only the triple laws can notice.
+    @pytest.mark.parametrize(
+        "x, y, wrong, witness",
+        [
+            ((1, 2, 3, 4, 4), (1, 3, 3, 3, 3), (2, 2, 2, 3, 3),
+             "not greatest: 1,2,3,4,4, 1,3,3,3,3, 1,3,3,3,3"),
+            ((1, 2, 3, 4, 5, 5), (1, 3, 3, 3, 4, 4), (2, 2, 2, 3, 4, 4),
+             "not associative: 1,2,3,4,5,5, 1,2,4,4,4,4, 1,3,3,3,4,4"),
+        ],
+        ids=["greatest", "associative"],
+    )
+    def test_semilattice_laws_catch_a_planted_meet(self, monkeypatch, x, y, wrong, witness):
+        x, y, wrong = validate(x), validate(y), validate(wrong)
+        assert leq(wrong, meet(x, y)) and wrong != meet(x, y)
+        monkeypatch.setattr(
+            imbalattice.verify, "meet", lambda s, t: wrong if {s, t} == {x, y} else meet(s, t)
+        )
+        (report,) = run_checks(6, ["meet-semilattice-laws"])
+        assert (report.status, report.witness) == ("fail", witness)
 
     def test_deep_arguments_need_no_recursion(self):
         s, t = top(2000), bottom(2000)

@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -17,7 +19,7 @@ from imbalattice import (
     validate,
 )
 from imbalattice.errors import ElementNotInUniverse
-from imbalattice.oracle import PropertyReport, _fraction_sums
+from imbalattice.oracle import PropertyReport, _scaled_sums
 
 
 def seq(*components):
@@ -54,17 +56,26 @@ class TestDefinitionOrder:
                 for b in pool:
                     assert leq_by_definition(a, b) == leq(a, b)
 
+    def test_matches_rational_partial_sums(self):
+        for n in range(1, 10):
+            pool = enumerate_universe(n).elements
+            sums = {l: list(accumulate(Fraction(1, 2**d) for d in l.components)) for l in pool}
+            for a in pool:
+                for b in pool:
+                    expected = all(x <= y for x, y in zip(sums[a], sums[b]))
+                    assert leq_by_definition(a, b) == expected
+
     def test_different_lengths_never_related(self):
         assert not leq_by_definition(seq(0), seq(1, 1))
 
     def test_partial_sums_cache_is_bounded(self):
-        bound = _fraction_sums.cache_info().maxsize
+        bound = _scaled_sums.cache_info().maxsize
         assert bound >= sum(len(enumerate_universe(n)) for n in range(1, 17))
         pool = [*enumerate_universe(16), *enumerate_universe(17)]
         assert len(pool) > bound
         for l in pool:
             assert leq_by_definition(l, l)
-        assert _fraction_sums.cache_info().currsize <= bound
+        assert _scaled_sums.cache_info().currsize <= bound
 
 
 class TestBruteforceBounds:

@@ -1,6 +1,8 @@
 """Randomized laws complementing the exhaustive desk-scale sweeps."""
 
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from imbalattice import (
     NegativeDepth,
     NotSorted,
     OrderVerdict,
+    bottom,
     canonical_code,
     compare,
     contraction,
@@ -20,6 +23,7 @@ from imbalattice import (
     meet,
     suffix_length,
     sequence_from_tree,
+    top,
     tree_from_sequence,
     upper_expansion,
     validate,
@@ -114,6 +118,25 @@ def test_meet_of_random_splits_is_a_valid_lower_bound(pair):
     assert leq_by_definition(low, a) and leq_by_definition(low, b)
     assert low.last == min(a.last, b.last)
     assert validate(low.components) == low
+
+
+def rational_sums(l):
+    return list(accumulate(Fraction(1, 2**d) for d in l.components))
+
+
+unequal_depth_pairs = st.integers(64, 256).flatmap(
+    lambda n: st.tuples(random_split(n), random_split(n))
+).filter(lambda pair: pair[0].last != pair[1].last)
+
+
+@settings(max_examples=50)
+@given(unequal_depth_pairs)
+def test_definition_order_matches_rational_partial_sums(pair):
+    a, b = pair
+    n = len(a)
+    sums = {l: rational_sums(l) for l in (a, b, bottom(n), top(n))}
+    for l, h in ((a, b), (b, a), (bottom(n), a), (a, top(n))):
+        assert leq_by_definition(l, h) == all(map(operator.le, sums[l], sums[h]))
 
 
 @given(elements, st.data())
