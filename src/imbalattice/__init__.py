@@ -3,9 +3,9 @@ sequences.
 
 The package covers the full pipeline: validating Kraft-exact depth
 sequences, comparing them in the balance-dominance order, splitting and
-merging leaves, enumerating each fixed-length universe with its meet, join
-and covering structure, the balancing moves whose closure generates the
-order, three independent join-irreducibility tests, canonical trees and
+merging leaves, counting and enumerating each fixed-length universe with
+its meet, join and covering structure, the balancing moves whose closure
+generates the order, three independent join-irreducibility tests, canonical trees and
 prefix codes, and a brute-force oracle layer for verifying all of it.
 
 Everything computes with arbitrary-precision integers (only the oracle's
@@ -44,6 +44,7 @@ from .lattice import (
     LatticeUniverse,
     balancing_step,
     bottom,
+    count_universe,
     covering_pairs,
     enumerate_universe,
     excess_indices,
@@ -130,6 +131,7 @@ __all__ = [
     "closure_equals_order",
     "compare",
     "contraction",
+    "count_universe",
     "covering_pairs",
     "covering_pairs_by_definition",
     "decompose_segments",

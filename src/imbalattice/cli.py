@@ -26,6 +26,7 @@ from .irreducibility import (
 from .lattice import (
     DEFAULT_CEILING,
     balancing_step,
+    count_universe,
     enumerate_universe,
     excess_indices,
     hasse,
@@ -59,10 +60,11 @@ def _positive(text: str) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    universe = enumerate_universe(args.n, args.ceiling)
     if args.count:
-        print(len(universe))
-    elif args.format == "json":
+        print(count_universe(args.n, args.ceiling))
+        return 0
+    universe = enumerate_universe(args.n, args.ceiling)
+    if args.format == "json":
         payload = {"n": universe.n, "nodes": [list(el.components) for el in universe]}
         print(json.dumps(payload, separators=(", ", ": ")))
     else:

@@ -1,11 +1,11 @@
 """The finite lattice of path-length sequences with a fixed length.
 
 For each n the sequences of length n form a lattice under balance
-dominance.  This module enumerates that universe, computes meets by the
-contraction recursion, joins by folding the meet over enumerated upper
-bounds, derives the balancing moves whose closure generates the order, and
-exposes the covering (Hasse) structure, read off those moves, with JSON and
-DOT exports.
+dominance.  This module enumerates and counts that universe, computes
+meets by the contraction recursion, joins by folding the meet over
+enumerated upper bounds, derives the balancing moves whose closure
+generates the order, and exposes the covering (Hasse) structure, read off
+those moves, with JSON and DOT exports.
 
 Enumeration grows the universe by expansion closure: every length-n
 sequence arises by re-expanding its contraction, so expanding each
@@ -14,17 +14,33 @@ every length-n sequence exactly once.  An independent enumeration lives in
 ``imbalattice.oracle`` precisely so the two can be checked against each
 other.
 
+Counting needs no enumeration.  A sequence is read top-down as so many
+leaves at depth 0, then so many at depth 1, and so on; ``f(k, m)`` counts
+the ways to place ``k`` leaves still to come when ``m`` nodes are open at
+the current depth.  Either the next open node is a leaf, or none is and
+all ``m`` split into ``2m`` at the next depth, so
+
+    f(k, m) = f(k - 1, m - 1) + f(k, 2m),   f(0, 0) = 1,
+
+with ``f(k, m) = 0`` when ``m > k`` or ``m = 0 < k``; the universe has
+``f(n, 1)`` elements.  Telescoping the first term gives the same table as
+``f(k, m) = [k == m] + sum(f(k - j, 2(m - j)) for j < m)``, the sum over
+``j`` leaves at the current depth.  Taking the leaf branch first is
+lexicographic order, so the same table unranks an index into the
+enumeration order without building the universe.
+
 Enumeration, meet and the balancing moves run on plain component tuples,
 which keep the invariants by construction; each value they return is built
 once through the validating ``PathLengthSequence`` constructor.
 
-Universe construction is memoized; all returned values are immutable, so
-results may be shared freely across threads.
+Universe construction and the count table are memoized; all returned
+values are immutable, so results may be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator
@@ -44,6 +60,7 @@ __all__ = [
     "LatticeUniverse",
     "balancing_step",
     "bottom",
+    "count_universe",
     "covering_pairs",
     "enumerate_universe",
     "excess_indices",
@@ -143,6 +160,64 @@ def enumerate_universe(n: int, ceiling: int = DEFAULT_CEILING) -> LatticeUnivers
     """All path-length sequences of length ``n``, by expansion closure."""
     _check_size(n, ceiling)
     return _universe(n)
+
+
+# Row ``k`` holds ``f(k, m)`` for ``m = 0..k`` (see the module docstring).
+# Rows depend only on ``k``, so every ``n`` shares one growing table.
+_leaf_rows: list[tuple[int, ...]] = [(1,)]
+_leaf_rows_lock = threading.Lock()
+
+
+def _leaf_counts(n: int) -> list[tuple[int, ...]]:
+    """The leaf-count table, grown to at least rows ``0..n``.
+
+    Rows fill in ascending ``k``; within a row ``m`` runs downwards, since
+    ``f(k, m)`` reads ``f(k, 2m)`` from the same row.  O(n**2) additions.
+    """
+    with _leaf_rows_lock:
+        rows = _leaf_rows
+        for k in range(len(rows), n + 1):
+            above = rows[k - 1]
+            row = [0] * (k + 1)
+            for m in range(k, 0, -1):
+                row[m] = above[m - 1] + (row[2 * m] if 2 * m <= k else 0)
+            rows.append(tuple(row))
+    return rows
+
+
+def count_universe(n: int, ceiling: int = DEFAULT_CEILING) -> int:
+    """The number of length-``n`` sequences, without enumerating them.
+
+    Equals ``len(enumerate_universe(n, ceiling))`` (OEIS A002572) and
+    keeps its ceiling; a caller who raises the ceiling gets exact counts
+    at ``n`` in the hundreds in milliseconds.
+    """
+    _check_size(n, ceiling)
+    return _leaf_counts(n)[n][1]
+
+
+def _unrank(n: int, r: int) -> tuple[int, ...]:
+    """Component tuple of the element at index ``r`` of the length-``n``
+    universe in enumeration (lexicographic) order, without enumerating.
+
+    At each step ``f(k - 1, m - 1)`` sequences place a leaf at the current
+    depth and sort before the ``f(k, 2m)`` that go one level deeper.
+    """
+    rows = _leaf_counts(n)
+    count = rows[n][1]
+    if not 0 <= r < count:
+        raise ValueError(f"rank {r} is outside [0, {count}) for n={n}")
+    components = []
+    k, m, depth = n, 1, 0
+    while k:
+        here = rows[k - 1][m - 1]
+        if r < here:
+            components.append(depth)
+            k, m = k - 1, m - 1
+        else:
+            r -= here
+            m, depth = 2 * m, depth + 1
+    return tuple(components)
 
 
 def _meet(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:

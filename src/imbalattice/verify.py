@@ -29,6 +29,7 @@ from .lattice import (
     bottom,
     covering_pairs,
     balancing_step,
+    count_universe,
     enumerate_universe,
     excess_indices,
     join,
@@ -191,11 +192,16 @@ def _check_contraction_round_trip(max_n: int, ceiling: int) -> str | None:
 
 def _check_enumeration_oracle(max_n: int, ceiling: int) -> str | None:
     for n in _sizes(max_n):
-        fast = set(enumerate_universe(n, ceiling).elements)
-        slow = set(enumerate_by_partition(n, ceiling))
-        if fast != slow:
-            extra = sorted(x.components for x in fast ^ slow)
+        fast = enumerate_universe(n, ceiling).elements
+        slow = enumerate_by_partition(n, ceiling)
+        if set(fast) != set(slow):
+            extra = sorted(x.components for x in set(fast) ^ set(slow))
             return f"n={n} differs at {extra[:3]}"
+        # The lengths also catch duplicates, which the sets hide.
+        count = count_universe(n, ceiling)
+        for size in (len(slow), len(fast)):
+            if count != size:
+                return f"n={n} count {count} but {size} elements"
     return None
 
 

@@ -1,6 +1,8 @@
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import imbalattice
 from imbalattice import (
     NotALattice,
+    count_universe,
     enumerate_universe,
     format_sequence,
     hasse,
@@ -165,6 +168,15 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "4", "--property", "meet-oracle-agreement")
         assert (code, out) == (1, "fail meet-oracle-agreement (n=4) -- meet(1,2,3,3, 2,2,2,2)\n")
 
+    def test_a_wrong_count_is_reported_with_its_witness(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            imbalattice.verify, "count_universe", lambda n, ceiling: count_universe(n) + (n == 6)
+        )
+        (report,) = run_checks(6, ["enumeration-oracle"])
+        assert (report.status, report.witness) == ("fail", "n=6 count 6 but 5 elements")
+        code, out, _ = run(capsys, "verify", "6", "--property", "enumeration-oracle")
+        assert (code, out) == (1, "fail enumeration-oracle (n=6) -- n=6 count 6 but 5 elements\n")
+
     def test_an_error_inside_one_check_fails_only_that_check(self, capsys, monkeypatch):
         def no_unique_bound(s, t, universe):
             raise NotALattice(f"lower bounds of {s} and {t} have no unique maximum")
@@ -220,6 +232,29 @@ class TestExitCodes:
         assert code == 1
         assert "ceiling" in err
 
+    def test_count_keeps_the_ceiling(self, capsys):
+        code, out, err = run(capsys, "enumerate", "21", "--count")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "ceiling" in err
+
+    def test_count_beyond_the_default_ceiling(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "300", "--count", "--ceiling", "300")
+        assert (code, out) == (0, f"{count_universe(300, 300)}\n")
+
+    def test_closed_pipe_is_one_without_traceback(self):
+        # enumerate 18 prints about 200 kB, more than a pipe buffers, so the
+        # command is still writing when the reader goes away.
+        env = dict(os.environ, PYTHONPATH=str(Path(imbalattice.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "imbalattice", "enumerate", "18"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as child:
+            assert child.stdout.readline() == b"1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,17\n"
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 1
+        assert b"Traceback" not in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -238,7 +273,9 @@ class TestDeterminism:
         assert first == second
 
 
-    @pytest.mark.parametrize("command", ["hasse 14", "irreducibles 14", "verify 8"])
+    @pytest.mark.parametrize(
+        "command", ["enumerate 18 --count", "hasse 14", "irreducibles 14", "verify 8"]
+    )
     def test_matches_benchmark_reference(self, capsys, command):
         reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "cli.json"
         expected = json.loads(reference.read_text())[command]
@@ -257,6 +294,7 @@ class TestCoverage:
         dot = str(tmp_path / "out.dot")
         command_lines = [
             ["enumerate", "5"],
+            ["enumerate", "5", "--count"],
             ["compare", "2,2,2,3,3", "1,3,3,3,3"],
             ["meet", "2,2,2,3,4,5,5", "1,3,3,4,4,4,4"],
             ["join", "2,2,2,3,4,5,5", "1,3,3,4,4,4,4"],

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,7 +9,9 @@ from imbalattice import (
     ResourceLimit,
     balancing_step,
     bottom,
+    count_universe,
     covering_pairs,
+    enumerate_by_partition,
     enumerate_universe,
     excess_indices,
     expansion_at,
@@ -24,6 +27,7 @@ from imbalattice import (
     validate,
 )
 from imbalattice.errors import ElementNotInUniverse
+from imbalattice.lattice import _leaf_counts, _unrank
 import imbalattice.verify
 from imbalattice.verify import run_checks
 
@@ -83,6 +87,59 @@ class TestEnumerate:
         assert universe.index(seq(2, 3, 3, 3, 3, 3, 3)) == 8
         with pytest.raises(ElementNotInUniverse):
             universe.index(seq(1, 1))
+
+
+class TestCount:
+    def test_matches_enumeration(self):
+        assert [count_universe(n, 21) for n in range(1, 22)] == [
+            len(enumerate_universe(n, 21)) for n in range(1, 22)
+        ]
+
+    def test_matches_the_partition_oracle(self):
+        assert [count_universe(n) for n in range(1, 17)] == [
+            len(enumerate_by_partition(n)) for n in range(1, 17)
+        ]
+
+    def test_table_sums_over_the_leaves_at_each_depth(self):
+        # f(k, m) = [k == m] + sum(f(k - j, 2(m - j)) for j < m): j of the m
+        # open nodes are leaves, the other m - j split.
+        rows = _leaf_counts(60)
+
+        def f(k, m):
+            return rows[k][m] if m <= k else 0
+
+        assert rows[0] == (1,)
+        for k in range(1, 61):
+            for m in range(k + 1):
+                assert f(k, m) == (k == m) + sum(f(k - j, 2 * (m - j)) for j in range(m))
+
+    def test_keeps_the_ceiling(self):
+        with pytest.raises(ResourceLimit):
+            count_universe(21)
+        with pytest.raises(ValueError):
+            count_universe(0)
+
+    def test_unrank_is_the_enumeration_order(self):
+        for n in range(1, 15):
+            order = [el.components for el in enumerate_universe(n)]
+            assert [_unrank(n, r) for r in range(count_universe(n))] == order
+
+    @pytest.mark.parametrize("n", [64, 257, 300])
+    def test_unrank_far_beyond_the_ceiling(self, n):
+        count = count_universe(n, n)
+        assert _unrank(n, 0) == top(n).components
+        assert _unrank(n, count - 1) == bottom(n).components
+        draw = random.Random(n)
+        for _ in range(20):
+            r = draw.randrange(count - 1)
+            low, high = _unrank(n, r), _unrank(n, r + 1)
+            assert validate(low).components == low and validate(high).components == high
+            assert low < high
+
+    def test_unrank_rejects_ranks_outside_the_universe(self):
+        for r in (-1, count_universe(7)):
+            with pytest.raises(ValueError):
+                _unrank(7, r)
 
 
 class TestMeet:
