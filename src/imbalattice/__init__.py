@@ -8,9 +8,8 @@ its meet, join and covering structure, the balancing moves whose closure
 generates the order, three independent join-irreducibility tests, canonical trees and
 prefix codes, and a brute-force oracle layer for verifying all of it.
 
-Everything computes with arbitrary-precision integers (only the oracle's
-partition search keeps an exact rational budget); there is no floating
-point anywhere.
+Everything computes with arbitrary-precision integers; there is no
+floating point anywhere.
 """
 
 from .errors import (

@@ -13,7 +13,7 @@ Exit codes: 0 on success, 1 for invalid sequences or failed verification,
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from pathlib import Path
 
@@ -39,7 +39,7 @@ from .sequences import compare, format_sequence, parse_components, validate
 from .trees import canonical_code, tree_ascii, tree_dot, tree_from_sequence
 from .verify import CHECKS, run_checks
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _components(text: str) -> tuple[int, ...]:
@@ -65,6 +65,8 @@ def _cmd_enumerate(args) -> int:
         return 0
     universe = enumerate_universe(args.n, args.ceiling)
     if args.format == "json":
+        import json
+
         payload = {"n": universe.n, "nodes": [list(el.components) for el in universe]}
         print(json.dumps(payload, separators=(", ", ": ")))
     else:
@@ -234,5 +236,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """Run the command line, ending quietly when the reader closes stdout.
+
+    ``imbalattice enumerate 16 | head -1`` closes the pipe early.  Output
+    that can no longer be written is dropped: stdout is pointed at
+    ``os.devnull``, so the flush at interpreter exit cannot raise again,
+    and the exit code is 1, as for any write error.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

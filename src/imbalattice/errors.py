@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 
@@ -47,9 +46,10 @@ class KraftSumNotOne(SequenceError):
     """The dyadic weights 2**-depth do not add up to exactly 1.
 
     ``kraft_sum`` (the exact offending sum) and ``deficit`` (its deviation
-    from 1) are ``fractions.Fraction`` values computed on first access, so
-    rejecting a huge depth costs nothing until a caller asks for them.  The
-    message is one short line; it quotes the sum only when that is small.
+    from 1) are ``fractions.Fraction`` values computed (and ``fractions``
+    imported) on first access, so rejecting a huge depth costs nothing
+    until a caller asks for them.  The message is one short line; it quotes
+    the sum only when that is small.
     A depth above n - 1 alone rules out a sum of 1, and the message says so.
     """
 
@@ -66,6 +66,8 @@ class KraftSumNotOne(SequenceError):
 
     @cached_property
     def kraft_sum(self) -> Fraction:
+        from fractions import Fraction
+
         scale = max(self.components)
         return Fraction(sum(1 << (scale - c) for c in self.components), 1 << scale)
 

@@ -23,9 +23,9 @@ compares against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._value import Value
 from .lattice import LatticeUniverse, _balance, _excess, _lower_covers
 from .sequences import PathLengthSequence, _leq
 
@@ -40,16 +40,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NearConstancy:
+class NearConstancy(Value):
     """Whether a segment holds at most two distinct values differing by 1.
 
     ``values`` lists the distinct values present in sorted order (possibly
     more than two when the verdict is negative).
     """
 
+    __slots__ = _fields = ("verdict", "values")
     verdict: bool
     values: tuple[int, ...]
+
+    def __init__(self, verdict: bool, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "values", values)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -62,8 +66,7 @@ def is_near_constant(segment: Iterable[int]) -> NearConstancy:
     return NearConstancy(verdict, values)
 
 
-@dataclass(frozen=True)
-class SegmentDecomposition:
+class SegmentDecomposition(Value):
     """Canonical head/middle/tail split used by the shape characterization.
 
     ``head`` is the longest near-constant prefix, ``tail`` the longest
@@ -71,9 +74,17 @@ class SegmentDecomposition:
     Concatenating the three always reproduces the original components.
     """
 
+    __slots__ = _fields = ("head", "middle", "tail")
     head: tuple[int, ...]
     middle: tuple[int, ...]
     tail: tuple[int, ...]
+
+    def __init__(
+        self, head: tuple[int, ...], middle: tuple[int, ...], tail: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "middle", middle)
+        object.__setattr__(self, "tail", tail)
 
     def concatenation(self) -> tuple[int, ...]:
         return self.head + self.middle + self.tail

@@ -33,18 +33,18 @@ Enumeration, meet and the balancing moves run on plain component tuples,
 which keep the invariants by construction; each value they return is built
 once through the validating ``PathLengthSequence`` constructor.
 
-Universe construction and the count table are memoized; all returned
-values are immutable, so results may be shared freely across threads.
+Universe construction and the unranking table are memoized (a count keeps
+only the row it is filling); all returned values are immutable, so results
+may be shared freely across threads.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator
 
+from ._value import Value
 from .errors import (
     ElementNotInUniverse,
     LengthMismatch,
@@ -78,8 +78,7 @@ __all__ = [
 DEFAULT_CEILING = 20
 
 
-@dataclass(frozen=True)
-class LatticeUniverse:
+class LatticeUniverse(Value):
     """Every path-length sequence of length ``n``, lexicographically sorted.
 
     ``cover_edges`` is either ``None`` (not computed, see ``hasse``) or the
@@ -88,9 +87,21 @@ class LatticeUniverse:
     derived from balancing steps, not from a pairwise reduction.
     """
 
+    # No __slots__: ``_positions`` caches itself in the instance __dict__.
+    _fields = ("n", "elements", "cover_edges")
     n: int
     elements: tuple[PathLengthSequence, ...]
-    cover_edges: tuple[tuple[int, int], ...] | None = None
+    cover_edges: tuple[tuple[int, int], ...] | None
+
+    def __init__(
+        self,
+        n: int,
+        elements: tuple[PathLengthSequence, ...],
+        cover_edges: tuple[tuple[int, int], ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "cover_edges", cover_edges)
 
     @cached_property
     def _positions(self) -> dict[tuple[int, ...], int]:
@@ -112,14 +123,21 @@ class LatticeUniverse:
             raise ElementNotInUniverse(f"{l} is not a length-{self.n} sequence") from None
 
 
-@dataclass(frozen=True)
-class BalancingStep:
+class BalancingStep(Value):
     """One minimal balancing move: ``target`` is ``source`` rebalanced at
     its excess index ``excess_index``, hence strictly more balanced."""
 
+    __slots__ = _fields = ("source", "excess_index", "target")
     source: PathLengthSequence
     excess_index: int
     target: PathLengthSequence
+
+    def __init__(
+        self, source: PathLengthSequence, excess_index: int, target: PathLengthSequence
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "excess_index", excess_index)
+        object.__setattr__(self, "target", target)
 
 
 def _check_size(n: int, ceiling: int) -> None:
@@ -162,26 +180,32 @@ def enumerate_universe(n: int, ceiling: int = DEFAULT_CEILING) -> LatticeUnivers
     return _universe(n)
 
 
-# Row ``k`` holds ``f(k, m)`` for ``m = 0..k`` (see the module docstring).
-# Rows depend only on ``k``, so every ``n`` shares one growing table.
+def _leaf_row(above: tuple[int, ...]) -> tuple[int, ...]:
+    """Row ``k`` of the leaf-count table from row ``k - 1``.
+
+    Row ``k`` holds ``f(k, m)`` for ``m = 0..k`` (see the module
+    docstring).  ``m`` runs downwards, since ``f(k, m)`` reads ``f(k, 2m)``
+    from the same row.  O(k) additions.
+    """
+    k = len(above)
+    row = [0] * (k + 1)
+    for m in range(k, 0, -1):
+        row[m] = above[m - 1] + (row[2 * m] if 2 * m <= k else 0)
+    return tuple(row)
+
+
+# Rows depend only on ``k``, so every ``n`` that ``_unrank`` walks shares
+# one growing table.
 _leaf_rows: list[tuple[int, ...]] = [(1,)]
 _leaf_rows_lock = threading.Lock()
 
 
 def _leaf_counts(n: int) -> list[tuple[int, ...]]:
-    """The leaf-count table, grown to at least rows ``0..n``.
-
-    Rows fill in ascending ``k``; within a row ``m`` runs downwards, since
-    ``f(k, m)`` reads ``f(k, 2m)`` from the same row.  O(n**2) additions.
-    """
+    """The leaf-count table, grown to at least rows ``0..n`` and kept."""
     with _leaf_rows_lock:
         rows = _leaf_rows
-        for k in range(len(rows), n + 1):
-            above = rows[k - 1]
-            row = [0] * (k + 1)
-            for m in range(k, 0, -1):
-                row[m] = above[m - 1] + (row[2 * m] if 2 * m <= k else 0)
-            rows.append(tuple(row))
+        for _ in range(len(rows), n + 1):
+            rows.append(_leaf_row(rows[-1]))
     return rows
 
 
@@ -190,10 +214,14 @@ def count_universe(n: int, ceiling: int = DEFAULT_CEILING) -> int:
 
     Equals ``len(enumerate_universe(n, ceiling))`` (OEIS A002572) and
     keeps its ceiling; a caller who raises the ceiling gets exact counts
-    at ``n`` in the hundreds in milliseconds.
+    at ``n`` in the hundreds in milliseconds.  Only the previous row of
+    the table is held at any time, and nothing is kept afterwards.
     """
     _check_size(n, ceiling)
-    return _leaf_counts(n)[n][1]
+    row = (1,)
+    for _ in range(n):
+        row = _leaf_row(row)
+    return row[1]
 
 
 def _unrank(n: int, r: int) -> tuple[int, ...]:
@@ -418,6 +446,8 @@ def hasse_json(universe: LatticeUniverse) -> str:
     where each cover pair means ``nodes[a]`` is covered by ``nodes[b]`` and
     nodes are in lexicographic order.
     """
+    import json
+
     if universe.cover_edges is None:
         raise ValueError("universe has no cover edges; build it with hasse()")
     payload = {

@@ -5,10 +5,10 @@ little as possible with the fast implementations so that agreement between
 the two is evidence rather than tautology: order checks recompute partial
 sums straight from the definition as exact integers (in units of the
 smallest weight, computed here rather than borrowed from the order code),
-enumeration searches dyadic partitions of 1 instead of closing under
-expansions, meets and joins are found by exhaustive scans over a universe,
-and cover pairs come from a cubic transitive reduction of the
-definition-level order instead of from balancing steps.
+enumeration searches dyadic partitions of 1 with an integer budget instead
+of closing under expansions, meets and joins are found by exhaustive scans
+over a universe, and cover pairs come from a cubic transitive reduction of
+the definition-level order instead of from balancing steps.
 
 ``closure_equals_order`` is the one deliberate exception: it consumes the
 minimal balancing relation (the artifact under test) and checks that its
@@ -18,12 +18,10 @@ reproduces the order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import le
 
+from ._value import Value
 from .errors import NotALattice
 from .lattice import DEFAULT_CEILING, LatticeUniverse, _check_size, minimal_balancing_relation
 from .sequences import PathLengthSequence
@@ -39,21 +37,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Value):
     """Outcome of one verification run: a property name, the size it was
     checked up to, a pass/fail status and a witness for failures."""
 
+    __slots__ = _fields = ("property", "n", "status", "witness")
     property: str
     n: int
     status: str
-    witness: str | None = None
+    witness: str | None
+
+    def __init__(self, property: str, n: int, status: str, witness: str | None = None) -> None:
+        object.__setattr__(self, "property", property)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {"property": self.property, "n": self.n, "status": self.status,
              "witness": self.witness},
@@ -105,15 +111,18 @@ def leq_by_definition(l: PathLengthSequence, h: PathLengthSequence) -> bool:
 def enumerate_by_partition(n: int, ceiling: int = DEFAULT_CEILING) -> tuple[PathLengthSequence, ...]:
     """All dyadic partitions of 1 into ``n`` nondecreasing depths.
 
-    Depth-first search with an exact rational budget, pruning a branch as
-    soon as the remaining components cannot reach the remaining budget even
-    at the current (largest allowed) weight.
+    Depth-first search with an exact integer budget, counted in units of
+    ``2**-(n-1)``: no leaf of a length-``n`` partition is deeper than
+    ``n - 1``, so every weight is a whole number of units.  A branch is
+    pruned as soon as the remaining components cannot reach the remaining
+    budget even at the current (largest allowed) weight.
     """
     _check_size(n, ceiling)
     found: list[tuple[int, ...]] = []
     prefix: list[int] = []
+    deepest = n - 1
 
-    def extend(budget: Fraction, remaining: int, min_depth: int) -> None:
+    def extend(budget: int, remaining: int, min_depth: int) -> None:
         if remaining == 0:
             if budget == 0:
                 found.append(tuple(prefix))
@@ -121,15 +130,18 @@ def enumerate_by_partition(n: int, ceiling: int = DEFAULT_CEILING) -> tuple[Path
         if budget <= 0:
             return
         depth = min_depth
-        while Fraction(remaining, 2**depth) >= budget:
-            weight = Fraction(1, 2**depth)
+        # A positive budget left after p leaves is at least 2**-p, so the
+        # pruning test holds only up to depth p + log2(remaining) <= n - 1;
+        # the depth bound just keeps the shifts nonnegative.
+        while depth <= deepest and remaining << (deepest - depth) >= budget:
+            weight = 1 << (deepest - depth)
             if weight <= budget:
                 prefix.append(depth)
                 extend(budget - weight, remaining - 1, depth)
                 prefix.pop()
             depth += 1
 
-    extend(Fraction(1), n, 0)
+    extend(1 << deepest, n, 0)
     return tuple(PathLengthSequence(c) for c in sorted(found))
 
 

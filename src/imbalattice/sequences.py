@@ -19,12 +19,12 @@ for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import index as _as_int, le, rshift
 from typing import Iterable, Iterator
 
+from ._value import Value
 from .errors import (
     KraftSumNotOne,
     LengthMismatch,
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PathLengthSequence:
+class PathLengthSequence(Value):
     """Validated leaf-depth profile of a full binary tree.
 
     Construction rejects anything that is not a nondecreasing sequence of
@@ -59,7 +58,22 @@ class PathLengthSequence:
     and compare equal exactly when their components do.
     """
 
+    __slots__ = _fields = ("components",)
     components: tuple[int, ...]
+
+    def __init__(self, components: tuple[int, ...]) -> None:
+        object.__setattr__(self, "components", components)
+        self.__post_init__()
+
+    # Equality and hashing sit inside every lattice fold and verify table,
+    # so they read the one field directly; the hash is the field tuple's.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
 
     def __post_init__(self) -> None:
         components = tuple(map(_as_int, self.components))
@@ -114,8 +128,7 @@ class OrderVerdict(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class ScaledPartialSums:
+class ScaledPartialSums(Value):
     """Exact witness for an order comparison.
 
     ``sums[i]`` is the integer ``sum(2**(scale_exponent - l_j) for j <= i)``.
@@ -123,8 +136,13 @@ class ScaledPartialSums:
     ``2**scale_exponent`` (that is the Kraft equality).
     """
 
+    __slots__ = _fields = ("scale_exponent", "sums")
     scale_exponent: int
     sums: tuple[int, ...]
+
+    def __init__(self, scale_exponent: int, sums: tuple[int, ...]) -> None:
+        object.__setattr__(self, "scale_exponent", scale_exponent)
+        object.__setattr__(self, "sums", sums)
 
 
 def validate(components: Iterable[int]) -> PathLengthSequence:

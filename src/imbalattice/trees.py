@@ -14,9 +14,9 @@ a more balanced tree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index as _as_int
 
+from ._value import Value
 from .errors import MalformedTree
 from .sequences import PathLengthSequence
 
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CodeTree:
+class CodeTree(Value):
     """A full binary tree with ordered children.
 
     A node is a leaf when ``children`` is ``None``; otherwise it has exactly
@@ -42,16 +41,16 @@ class CodeTree:
     malformed (binary trees realizing Kraft sequences are always full).
     """
 
-    children: tuple[CodeTree, CodeTree] | None = None
+    __slots__ = _fields = ("children",)
+    children: tuple[CodeTree, CodeTree] | None
 
-    def __post_init__(self) -> None:
-        if self.children is None:
-            return
-        children = tuple(self.children)
-        if len(children) != 2 or not all(isinstance(c, CodeTree) for c in children):
-            raise MalformedTree(
-                f"a node needs exactly two subtrees or none, got {len(children)}"
-            )
+    def __init__(self, children: tuple[CodeTree, CodeTree] | None = None) -> None:
+        if children is not None:
+            children = tuple(children)
+            if len(children) != 2 or not all(isinstance(c, CodeTree) for c in children):
+                raise MalformedTree(
+                    f"a node needs exactly two subtrees or none, got {len(children)}"
+                )
         object.__setattr__(self, "children", children)
 
     @property

@@ -241,12 +241,13 @@ class TestExitCodes:
         code, out, _ = run(capsys, "enumerate", "300", "--count", "--ceiling", "300")
         assert (code, out) == (0, f"{count_universe(300, 300)}\n")
 
-    def test_closed_pipe_is_one_without_traceback(self):
+    @staticmethod
+    def read_one_line_then_close(module):
         # enumerate 18 prints about 200 kB, more than a pipe buffers, so the
         # command is still writing when the reader goes away.
         env = dict(os.environ, PYTHONPATH=str(Path(imbalattice.__file__).parents[1]))
         with subprocess.Popen(
-            [sys.executable, "-m", "imbalattice", "enumerate", "18"],
+            [sys.executable, "-m", module, "enumerate", "18"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         ) as child:
             assert child.stdout.readline() == b"1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,17\n"
@@ -254,6 +255,12 @@ class TestExitCodes:
             err = child.stderr.read()
             assert child.wait(timeout=60) == 1
         assert b"Traceback" not in err
+
+    def test_closed_pipe_is_one_without_traceback(self):
+        self.read_one_line_then_close("imbalattice")
+
+    def test_closed_pipe_under_the_cli_module(self):
+        self.read_one_line_then_close("imbalattice.cli")
 
 
 class TestDeterminism:

@@ -27,6 +27,7 @@ from imbalattice import (
     validate,
 )
 from imbalattice.errors import ElementNotInUniverse
+import imbalattice.lattice
 from imbalattice.lattice import _leaf_counts, _unrank
 import imbalattice.verify
 from imbalattice.verify import run_checks
@@ -99,6 +100,17 @@ class TestCount:
         assert [count_universe(n) for n in range(1, 17)] == [
             len(enumerate_by_partition(n)) for n in range(1, 17)
         ]
+
+    def test_matches_the_unranking_table(self):
+        rows = _leaf_counts(60)
+        assert [count_universe(k, 60) for k in range(1, 61)] == [
+            rows[k][1] for k in range(1, 61)
+        ]
+
+    def test_keeps_no_table(self):
+        kept = len(imbalattice.lattice._leaf_rows)
+        count_universe(1000, 1000)
+        assert len(imbalattice.lattice._leaf_rows) == kept
 
     def test_table_sums_over_the_leaves_at_each_depth(self):
         # f(k, m) = [k == m] + sum(f(k - j, 2(m - j)) for j < m): j of the m
