@@ -29,6 +29,14 @@ with ``f(k, m) = 0`` when ``m > k`` or ``m = 0 < k``; the universe has
 lexicographic order, so the same table unranks an index into the
 enumeration order without building the universe.
 
+The meet recursion compares no partial sums.  Each level keeps the upper
+expansion of the contractions' meet exactly when its last component is
+below both arguments' last components, and the lower expansion otherwise;
+the last law (``last meet == min(last s, last t)``) proves that this is the
+order test the recursion asks for (see ``meet``).  A balancing move's
+excess index is likewise a local test on three neighbours and the first
+component.
+
 Enumeration, meet and the balancing moves run on plain component tuples,
 which keep the invariants by construction; each value they return is built
 once through the validating ``PathLengthSequence`` constructor.
@@ -252,7 +260,8 @@ def _meet(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     """Meet of two equal-length component tuples, by contraction recursion.
 
     The recursion runs as a loop: both contraction chains are built down to
-    length 1 and then walked back up, so any length works.
+    length 1 and then walked back up, so any length works.  Each level is
+    decided by last components alone (see ``meet``).
     """
     chain = [(s, t)]
     while len(chain[-1][0]) > 1:
@@ -260,11 +269,8 @@ def _meet(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
         chain.append((_contract(a), _contract(b)))
     result = chain.pop()[0]
     for a, b in reversed(chain):
-        up = _expand(result, len(result) - 1)
-        # x <= y forces last x <= last y (the second-to-last partial sums
-        # are 1 - 2**-last), which settles most levels without a scan.
-        if up[-1] <= min(a[-1], b[-1]) and _leq(up, a) and _leq(up, b):
-            result = up
+        if result[-1] < min(a[-1], b[-1]):
+            result = _expand(result, len(result) - 1)
         else:
             result = _expand(result, _lower_index(result))
     return result
@@ -276,8 +282,18 @@ def meet(s: PathLengthSequence, t: PathLengthSequence) -> PathLengthSequence:
     For single components the meet is ``(0)``.  Otherwise, with ``m`` the
     meet of the two contractions: the result is the upper expansion of ``m``
     when that is below both arguments, else the lower expansion of ``m``.
-    The result always satisfies ``last(meet(s, t)) == min(last s, last t)``.
-    Intermediate sequences stay plain tuples; only the result is validated.
+    The result always satisfies ``last(meet(s, t)) == min(last s, last t)``
+    (the last law).
+
+    That test needs no order scan: the upper expansion is kept exactly when
+    ``last m < min(last s, last t)``.  Let ``mu = min(last s, last t)``.
+    Contraction lowers ``last`` by at most one, so by the last law ``last m``
+    is ``mu - 1`` or ``mu`` and the upper expansion ends at ``mu`` or
+    ``mu + 1``.  If it ends at ``mu + 1`` it is not below both, since
+    ``x <= y`` forces ``last x <= last y``.  If it ends at ``mu``, the lower
+    expansion would end at ``mu - 1`` and break the last law, unless ``m``
+    is constant, and then the two expansions are equal.  Intermediate
+    sequences stay plain tuples; only the result is validated.
     """
     if len(s) != len(t):
         raise LengthMismatch(f"cannot meet lengths {len(s)} and {len(t)}")
@@ -302,12 +318,18 @@ def join(
     return reduce(meet, uppers)
 
 
+def _is_excess(c: tuple[int, ...], j: int) -> bool:
+    """Whether the 1-based ``j`` is an excess index of a component tuple.
+
+    The test is local: ``c[j - 2] < c[j - 1] == c[j]`` and the shallowest
+    leaf, ``c[0]``, is at most ``c[j - 1] - 2``.
+    """
+    return 2 <= j < len(c) and c[j - 2] < c[j - 1] == c[j] and c[0] <= c[j - 1] - 2
+
+
 def _excess(c: tuple[int, ...]) -> tuple[int, ...]:
     """Excess indices (1-based) of a component tuple."""
-    first = c[0]
-    return tuple(
-        j for j in range(2, len(c)) if c[j - 2] < c[j - 1] == c[j] and first <= c[j - 1] - 2
-    )
+    return tuple(j for j in range(2, len(c)) if _is_excess(c, j))
 
 
 def _balance(c: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -344,7 +366,7 @@ def balancing_step(l: PathLengthSequence, j: int) -> PathLengthSequence:
     and the first two copies of ``l_j`` merge into one ``l_j - 1``.  The
     result has the same length and is strictly more balanced.
     """
-    if j not in _excess(l.components):
+    if not (isinstance(j, int) and _is_excess(l.components, j)):
         raise NotAnExcessIndex(f"{j} is not an excess index of {l}")
     return PathLengthSequence(_balance(l.components, j))
 

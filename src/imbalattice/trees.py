@@ -4,7 +4,12 @@ Kraft's theorem pairs every path-length sequence with a full binary tree
 whose leaf depths, read left to right, are the sequence.  The canonical
 realization used here assigns consecutive binary codewords in depth order
 (the classic canonical prefix code), which makes the tree unique: shallow
-leaves sit leftmost.
+leaves sit leftmost.  ``tree_from_sequence`` builds that tree in one
+left-to-right pass over the depths with a stack of open internal nodes, so
+it needs neither the codeword strings nor recursion; the walkers
+(``leaf_codewords``, ``tree_ascii``, ``tree_dot``) share one preorder walk
+on an explicit stack, so a tree of any depth can be built, read back and
+rendered.
 
 Two tree parameters drive monotonicity arguments about the balance order:
 the component sum (the external path length, strictly increasing with
@@ -15,6 +20,7 @@ a more balanced tree).
 from __future__ import annotations
 
 from operator import index as _as_int
+from typing import Iterator
 
 from ._value import Value
 from .errors import MalformedTree
@@ -79,31 +85,44 @@ def canonical_code(l: PathLengthSequence) -> tuple[str, ...]:
 
 
 def tree_from_sequence(l: PathLengthSequence) -> CodeTree:
-    """The canonical tree whose left-to-right leaf depths are ``l``."""
-    return _build(list(canonical_code(l)))
+    """The canonical tree whose left-to-right leaf depths are ``l``.
+
+    Built from a stack in one left-to-right pass: ``open_nodes[d]`` holds
+    the finished children of the open internal node at depth ``d``.  Each
+    leaf goes into the leftmost free slot, after opening internal nodes down
+    to its depth, and every node that receives its second child closes and
+    becomes a child of the node above.  O(n), with no recursion.
+    """
+    open_nodes: list[list[CodeTree]] = []
+    for depth in l:
+        open_nodes.extend([] for _ in range(depth - len(open_nodes)))
+        node = CodeTree()
+        while open_nodes:
+            siblings = open_nodes[-1]
+            siblings.append(node)
+            if len(siblings) == 1:
+                break
+            open_nodes.pop()
+            node = CodeTree(tuple(siblings))
+    return node
 
 
-def _build(words: list[str]) -> CodeTree:
-    if words == [""]:
-        return CodeTree()
-    left = [w[1:] for w in words if w[0] == "0"]
-    right = [w[1:] for w in words if w[0] == "1"]
-    return CodeTree((_build(left), _build(right)))
+def _preorder(tree: CodeTree) -> Iterator[tuple[CodeTree, str]]:
+    """Every node with its root path, parents before children and left
+    before right, walked from an explicit stack."""
+    stack = [(tree, "")]
+    while stack:
+        node, path = stack.pop()
+        yield node, path
+        if not node.is_leaf:
+            left, right = node.children
+            stack.append((right, path + "1"))
+            stack.append((left, path + "0"))
 
 
 def leaf_codewords(tree: CodeTree) -> tuple[str, ...]:
     """Left-to-right root paths of the leaves, as 0/1 strings."""
-    out: list[str] = []
-
-    def walk(node: CodeTree, path: str) -> None:
-        if node.is_leaf:
-            out.append(path)
-        else:
-            walk(node.children[0], path + "0")
-            walk(node.children[1], path + "1")
-
-    walk(tree, "")
-    return tuple(out)
+    return tuple(path for node, path in _preorder(tree) if node.is_leaf)
 
 
 def sequence_from_tree(tree: CodeTree) -> PathLengthSequence:
@@ -140,27 +159,19 @@ def sum_components(l: PathLengthSequence) -> int:
     return sum(l.components)
 
 
+# What each step of a root path draws in front of a deeper node's line.
+_RAILS = str.maketrans({"0": "|   ", "1": "    "})
+
+
 def tree_ascii(tree: CodeTree) -> str:
     """Plain-text rendering; internal nodes print ``*``, leaves their codeword."""
     lines: list[str] = []
-
-    def label(node: CodeTree, path: str) -> str:
-        if node.is_leaf:
-            return path if path else "(empty)"
-        return "*"
-
-    def walk(node: CodeTree, path: str, prefix: str, is_last: bool) -> None:
-        connector = "`-- " if is_last else "+-- "
-        lines.append(prefix + connector + label(node, path))
-        if not node.is_leaf:
-            extension = "    " if is_last else "|   "
-            walk(node.children[0], path + "0", prefix + extension, False)
-            walk(node.children[1], path + "1", prefix + extension, True)
-
-    lines.append(label(tree, ""))
-    if not tree.is_leaf:
-        walk(tree.children[0], "0", "", False)
-        walk(tree.children[1], "1", "", True)
+    for node, path in _preorder(tree):
+        label = (path or "(empty)") if node.is_leaf else "*"
+        if path:
+            connector = "+-- " if path[-1] == "0" else "`-- "
+            label = path[:-1].translate(_RAILS) + connector + label
+        lines.append(label)
     return "\n".join(lines) + "\n"
 
 
@@ -169,17 +180,13 @@ def tree_dot(tree: CodeTree) -> str:
     codeword and depth."""
     nodes: list[str] = []
     edges: list[str] = []
-
-    def walk(node: CodeTree, path: str) -> None:
+    for node, path in _preorder(tree):
         name = "n" + path
+        if path:
+            edges.append(f'    n{path[:-1]} -> {name} [label="{path[-1]}"];')
         if node.is_leaf:
             word = path if path else "(empty)"
             nodes.append(f'    {name} [shape=box, label="{word} ({len(path)})"];')
         else:
             nodes.append(f'    {name} [shape=circle, label=""];')
-            for bit, child in zip("01", node.children):
-                edges.append(f'    {name} -> n{path}{bit} [label="{bit}"];')
-                walk(child, path + bit)
-
-    walk(tree, "")
     return "\n".join(["digraph code_tree {", *nodes, *edges, "}"]) + "\n"

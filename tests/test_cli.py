@@ -18,6 +18,7 @@ from imbalattice import (
     format_sequence,
     hasse,
     hasse_dot,
+    top,
     tree_dot,
     tree_from_sequence,
     validate,
@@ -226,6 +227,20 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and len(err) < 100
         assert err.startswith("error: ")
+
+    def test_deep_tree_renders_without_recursion(self, tmp_path):
+        # The caterpillar of 1000 leaves is 999 levels deep, past the
+        # default recursion limit.
+        caterpillar = format_sequence(top(1000))
+        target = tmp_path / "tree.dot"
+        env = dict(os.environ, PYTHONPATH=str(Path(imbalattice.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "imbalattice", "tree", caterpillar, "--dot", str(target)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.count(b"\n") == 1999
+        assert target.read_text() == tree_dot(tree_from_sequence(top(1000)))
 
     def test_ceiling_violation_is_one(self, capsys):
         code, _, err = run(capsys, "enumerate", "40")

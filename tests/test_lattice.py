@@ -198,6 +198,31 @@ class TestMeet:
         (report,) = run_checks(6, ["meet-semilattice-laws"])
         assert (report.status, report.witness) == ("fail", witness)
 
+    def test_matches_the_scanning_recursion(self, meet_by_scanning):
+        for n in range(1, 11):
+            pool = enumerate_universe(n).elements
+            for a in pool:
+                for b in pool:
+                    assert meet(a, b) == meet_by_scanning(a, b), (a, b)
+
+    def test_scans_no_order(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("meet compared partial sums")
+
+        draw = random.Random(300)
+        count = count_universe(300, 300)
+        pairs = [(top(300), bottom(300))] + [
+            (validate(_unrank(300, draw.randrange(count))),
+             validate(_unrank(300, draw.randrange(count))))
+            for _ in range(5)
+        ]
+        monkeypatch.setattr(imbalattice.lattice, "_leq", no_scan)
+        lows = [meet(s, t) for s, t in pairs]
+        monkeypatch.undo()
+        for (s, t), low in zip(pairs, lows):
+            assert low.last == min(s.last, t.last)
+            assert leq_by_definition(low, s) and leq_by_definition(low, t)
+
     def test_deep_arguments_need_no_recursion(self):
         s, t = top(2000), bottom(2000)
         low = meet(s, t)
@@ -256,6 +281,23 @@ class TestBalancingStep:
     def test_rejects_non_excess_index(self):
         with pytest.raises(NotAnExcessIndex):
             balancing_step(seq(1, 2, 3, 4, 4), 2)
+
+    def test_rejects_exactly_the_non_excess_indices(self):
+        for n in range(1, 11):
+            for l in enumerate_universe(n):
+                excess = excess_indices(l)
+                for j in range(-1, n + 2):
+                    if j in excess:
+                        assert len(balancing_step(l, j)) == n
+                    else:
+                        with pytest.raises(NotAnExcessIndex):
+                            balancing_step(l, j)
+
+    def test_rejects_a_non_integer_index(self):
+        l = seq(1, 2, 3, 4, 4)
+        for j in (4.0, "4", None):
+            with pytest.raises(NotAnExcessIndex):
+                balancing_step(l, j)
 
     def test_strict_descent_by_exact_amount(self, holds):
         holds(9, "balancing-step-decrement")

@@ -19,6 +19,7 @@ from imbalattice import (
     count_universe,
     enumerate_universe,
     expansion_at,
+    leaf_codewords,
     leq,
     leq_by_definition,
     lower_expansion,
@@ -134,6 +135,24 @@ def test_meet_of_random_splits_is_a_valid_lower_bound(pair):
     assert leq_by_definition(low, a) and leq_by_definition(low, b)
     assert low.last == min(a.last, b.last)
     assert validate(low.components) == low
+
+
+wide_pairs = st.integers(16, 256).flatmap(
+    lambda n: st.tuples(large_element(n), large_element(n))
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_pairs)
+def test_meet_matches_the_scanning_recursion(meet_by_scanning, pair):
+    a, b = pair
+    assert meet(a, b) == meet_by_scanning(a, b)
+
+
+@settings(max_examples=50)
+@given(st.integers(16, 256).flatmap(large_element))
+def test_tree_leaves_are_the_canonical_code(l):
+    assert leaf_codewords(tree_from_sequence(l)) == canonical_code(l)
 
 
 def rational_sums(l):

@@ -10,6 +10,7 @@ from imbalattice import (
     nodes_within_depth,
     sequence_from_tree,
     sum_components,
+    top,
     tree_ascii,
     tree_dot,
     tree_from_sequence,
@@ -61,6 +62,15 @@ class TestCodeTree:
 
     def test_round_trips_exhaustive(self, holds):
         holds(8, "kraft-realization")
+
+    def test_leaves_are_the_canonical_code(self):
+        for n in range(1, 13):
+            for l in enumerate_universe(n):
+                assert leaf_codewords(tree_from_sequence(l)) == canonical_code(l)
+
+    def test_deep_caterpillar_round_trips(self):
+        l = top(5000)
+        assert sequence_from_tree(tree_from_sequence(l)) == l
 
     def test_one_child_is_malformed(self):
         with pytest.raises(MalformedTree):
