@@ -101,24 +101,24 @@ def _cmd_hasse(args) -> int:
 
 def _cmd_irreducibles(args) -> int:
     universe = enumerate_universe(args.n, args.ceiling)
-    verdicts = {}
+    tests = {
+        "covers": lambda el: is_join_irreducible_by_covers(el, universe),
+        "balancing": is_join_irreducible_by_balancing,
+        "decomposition": is_join_irreducible_by_decomposition,
+    }
+    if args.method != "all":
+        tests = {args.method: tests[args.method]}
+    irreducible = []
     for el in universe:
-        votes = {
-            "covers": is_join_irreducible_by_covers(el, universe),
-            "balancing": is_join_irreducible_by_balancing(el),
-            "decomposition": is_join_irreducible_by_decomposition(el),
-        }
-        if args.method == "all":
-            if len(set(votes.values())) != 1:
-                detail = ", ".join(f"{k}={v}" for k, v in votes.items())
-                print(f"disagreement at {format_sequence(el)}: {detail}", file=sys.stderr)
-                return 1
-            verdicts[el] = votes["covers"]
-        else:
-            verdicts[el] = votes[args.method]
-    for el in universe:
-        if verdicts[el]:
-            print(format_sequence(el))
+        votes = {name: test(el) for name, test in tests.items()}
+        if len(set(votes.values())) != 1:
+            detail = ", ".join(f"{k}={v}" for k, v in votes.items())
+            print(f"disagreement at {format_sequence(el)}: {detail}", file=sys.stderr)
+            return 1
+        if all(votes.values()):
+            irreducible.append(el)
+    for el in irreducible:
+        print(format_sequence(el))
     return 0
 
 

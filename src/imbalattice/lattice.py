@@ -49,6 +49,7 @@ may be shared freely across threads.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator
 
@@ -341,9 +342,7 @@ def _balance(c: tuple[int, ...], j: int) -> tuple[int, ...]:
     ``c[i] + 1``.  Both replacements keep the tuple sorted.
     """
     deep = c[j - 1]
-    i = j - 2
-    while c[i] > deep - 2:
-        i -= 1
+    i = bisect_right(c, deep - 2, 0, j - 1) - 1
     split = c[i] + 1
     return c[:i] + (split, split) + c[i + 1 : j - 1] + (deep - 1,) + c[j + 1 :]
 

@@ -19,6 +19,7 @@ for unrestricted concurrent use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from itertools import repeat
 from operator import index as _as_int, le, rshift
@@ -175,12 +176,8 @@ def format_sequence(l: PathLengthSequence) -> str:
 
 
 def _suffix(c: tuple[int, ...]) -> int:
-    """Number of equal trailing entries of a component tuple."""
-    last = c[-1]
-    k = 1
-    while k < len(c) and c[-1 - k] == last:
-        k += 1
-    return k
+    """Number of equal trailing entries of a sorted component tuple."""
+    return len(c) - bisect_left(c, c[-1])
 
 
 def suffix_length(l: PathLengthSequence) -> int:

@@ -20,6 +20,8 @@ the public functions wrap their one result in a validated
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import PositionOutOfRange, SingletonSequence
 from .sequences import PathLengthSequence, _suffix
 
@@ -39,9 +41,7 @@ def _expand(c: tuple[int, ...], i: int) -> tuple[int, ...]:
     result.
     """
     d = c[i]
-    j = i + 1
-    while j < len(c) and c[j] == d:
-        j += 1
+    j = bisect_right(c, d, i + 1)
     return c[:i] + c[i + 1 : j] + (d + 1, d + 1) + c[j:]
 
 

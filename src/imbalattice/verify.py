@@ -1,11 +1,13 @@
 """Named, machine-checkable law suite over the whole library.
 
-Each check sweeps every universe size up to a requested maximum and returns
-the witness of the first counterexample it finds, or ``None`` when the law
-holds.  ``run_checks`` turns those results into ``PropertyReport``s named
-by the registry keys, which are the stable names the command line accepts;
-the report order always follows the registry, so output is deterministic
-no matter how the checks are scheduled.
+Each check takes one length-n universe and returns the witness of the first
+counterexample it finds there, or ``None`` when the law holds.
+``run_checks`` owns the size sweep: it refuses sizes beyond the ceiling,
+hands each check the universes n = 1, 2, ... up to the requested maximum,
+stops a check at its first witness, and turns the results into
+``PropertyReport``s named by the registry keys, which are the stable names
+the command line accepts.  The report order always follows the registry,
+so output is deterministic no matter how the checks are scheduled.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .irreducibility import (
 )
 from .lattice import (
     DEFAULT_CEILING,
+    LatticeUniverse,
     _check_size,
     _lower_covers,
     bottom,
@@ -65,7 +68,7 @@ from .trees import (
 
 __all__ = ["CHECKS", "run_checks"]
 
-Check = Callable[[int, int], "str | None"]
+Check = Callable[[LatticeUniverse], "str | None"]
 
 # (first sums at most second's, second's at most first's) -> verdict
 _VERDICTS = {
@@ -74,10 +77,6 @@ _VERDICTS = {
     (False, True): OrderVerdict.LESS_BALANCED,
     (False, False): OrderVerdict.INCOMPARABLE,
 }
-
-
-def _sizes(max_n: int, start: int = 1) -> range:
-    return range(start, max_n + 1)
 
 
 def _order_masks(pool: tuple[PathLengthSequence, ...]) -> tuple[list[int], list[int]]:
@@ -97,301 +96,281 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _check_partial_order_laws(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        pool = enumerate_universe(n, ceiling).elements
-        _, up = _order_masks(pool)
-        for i, a in enumerate(pool):
-            if not up[i] >> i & 1:
-                return f"not reflexive at {a}"
-        for (i, a), (j, b) in product(enumerate(pool), repeat=2):
-            if i != j and up[i] >> j & 1 and up[j] >> i & 1:
-                return f"not antisymmetric: {a}, {b}"
-        # transitive: whatever lies above b also lies above every a <= b
-        for i, a in enumerate(pool):
-            for j, b in enumerate(pool):
-                escaped = up[j] & ~up[i]
-                if up[i] >> j & 1 and escaped:
-                    return f"not transitive: {a}, {b}, {pool[_lowest_bit(escaped)]}"
+def _check_partial_order_laws(universe: LatticeUniverse) -> str | None:
+    pool = universe.elements
+    _, up = _order_masks(pool)
+    for i, a in enumerate(pool):
+        if not up[i] >> i & 1:
+            return f"not reflexive at {a}"
+    for (i, a), (j, b) in product(enumerate(pool), repeat=2):
+        if i != j and up[i] >> j & 1 and up[j] >> i & 1:
+            return f"not antisymmetric: {a}, {b}"
+    # transitive: whatever lies above b also lies above every a <= b
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            escaped = up[j] & ~up[i]
+            if up[i] >> j & 1 and escaped:
+                return f"not transitive: {a}, {b}, {pool[_lowest_bit(escaped)]}"
     return None
 
 
-def _check_last_suffix_monotonicity(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
-            if not leq(a, b):
-                continue
-            if a.last > b.last:
-                return f"last {a} > last {b}"
-            if a.last == b.last and suffix_length(a) > suffix_length(b):
-                return f"suf {a} > suf {b}"
+def _check_last_suffix_monotonicity(universe: LatticeUniverse) -> str | None:
+    for a, b in product(universe, repeat=2):
+        if not leq(a, b):
+            continue
+        if a.last > b.last:
+            return f"last {a} > last {b}"
+        if a.last == b.last and suffix_length(a) > suffix_length(b):
+            return f"suf {a} > suf {b}"
     return None
 
 
-def _check_scale_independence(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
-            verdict = compare(a, b)
-            base = max(a.last, b.last)
-            for scale in (base, base + 1, base + 5):
-                if compare(a, b, scale=scale) != verdict:
-                    return f"verdict varies: {a} vs {b}"
-                x = scaled_partial_sums(a, scale).sums
-                y = scaled_partial_sums(b, scale).sums
-                if _VERDICTS[all(map(le, x, y)), all(map(le, y, x))] is not verdict:
-                    return f"partial sums disagree at scale {scale}: {a} vs {b}"
+def _check_scale_independence(universe: LatticeUniverse) -> str | None:
+    for a, b in product(universe, repeat=2):
+        verdict = compare(a, b)
+        base = max(a.last, b.last)
+        for scale in (base, base + 1, base + 5):
+            if compare(a, b, scale=scale) != verdict:
+                return f"verdict varies: {a} vs {b}"
+            x = scaled_partial_sums(a, scale).sums
+            y = scaled_partial_sums(b, scale).sums
+            if _VERDICTS[all(map(le, x, y)), all(map(le, y, x))] is not verdict:
+                return f"partial sums disagree at scale {scale}: {a} vs {b}"
     return None
 
 
-def _check_expansion_monotonicity(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
-            if leq(a, b):
-                if not leq(lower_expansion(a), lower_expansion(b)):
-                    return f"lower fails: {a}, {b}"
-                if not leq(upper_expansion(a), upper_expansion(b)):
-                    return f"upper fails: {a}, {b}"
+def _check_expansion_monotonicity(universe: LatticeUniverse) -> str | None:
+    for a, b in product(universe, repeat=2):
+        if leq(a, b):
+            if not leq(lower_expansion(a), lower_expansion(b)):
+                return f"lower fails: {a}, {b}"
+            if not leq(upper_expansion(a), upper_expansion(b)):
+                return f"upper fails: {a}, {b}"
     return None
 
 
-def _check_expansion_coincidence(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for l in enumerate_universe(n, ceiling):
-            constant = len(set(l.components)) == 1
-            if constant != (lower_expansion(l) == upper_expansion(l)):
-                return f"at {l}"
+def _check_expansion_coincidence(universe: LatticeUniverse) -> str | None:
+    for l in universe:
+        constant = len(set(l.components)) == 1
+        if constant != (lower_expansion(l) == upper_expansion(l)):
+            return f"at {l}"
     return None
 
 
-def _check_upper_lower_expansion(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
-            if leq(a, b) and a.last < b.last:
-                if not leq(upper_expansion(a), lower_expansion(b)):
-                    return f"{a} vs {b}"
+def _check_upper_lower_expansion(universe: LatticeUniverse) -> str | None:
+    for a, b in product(universe, repeat=2):
+        if leq(a, b) and a.last < b.last:
+            if not leq(upper_expansion(a), lower_expansion(b)):
+                return f"{a} vs {b}"
     return None
 
 
-def _check_contraction_sandwich(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n, start=2):
-        for l in enumerate_universe(n, ceiling):
-            squeezed = contraction(l)
-            if not (leq(lower_expansion(squeezed), l) and leq(l, upper_expansion(squeezed))):
-                return f"at {l}"
+def _check_contraction_sandwich(universe: LatticeUniverse) -> str | None:
+    if universe.n == 1:
+        return None  # a single leaf has no contraction
+    for l in universe:
+        squeezed = contraction(l)
+        if not (leq(lower_expansion(squeezed), l) and leq(l, upper_expansion(squeezed))):
+            return f"at {l}"
     return None
 
 
-def _check_contraction_round_trip(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n, start=2):
-        for l in enumerate_universe(n, ceiling):
-            merged_position = n - suffix_length(l) + 1
-            if expansion_at(contraction(l), merged_position) != l:
-                return f"at {l}"
+def _check_contraction_round_trip(universe: LatticeUniverse) -> str | None:
+    if universe.n == 1:
+        return None  # a single leaf has no contraction
+    for l in universe:
+        merged_position = universe.n - suffix_length(l) + 1
+        if expansion_at(contraction(l), merged_position) != l:
+            return f"at {l}"
     return None
 
 
-def _check_enumeration_oracle(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        fast = enumerate_universe(n, ceiling).elements
-        slow = enumerate_by_partition(n, ceiling)
-        if set(fast) != set(slow):
-            extra = sorted(x.components for x in set(fast) ^ set(slow))
-            return f"n={n} differs at {extra[:3]}"
-        # The lengths also catch duplicates, which the sets hide.
-        count = count_universe(n, ceiling)
-        for size in (len(slow), len(fast)):
-            if count != size:
-                return f"n={n} count {count} but {size} elements"
+def _check_enumeration_oracle(universe: LatticeUniverse) -> str | None:
+    n = universe.n
+    fast = universe.elements
+    slow = enumerate_by_partition(n, n)
+    if set(fast) != set(slow):
+        extra = sorted(x.components for x in set(fast) ^ set(slow))
+        return f"n={n} differs at {extra[:3]}"
+    # The lengths also catch duplicates, which the sets hide.
+    count = count_universe(n, n)
+    for size in (len(slow), len(fast)):
+        if count != size:
+            return f"n={n} count {count} but {size} elements"
     return None
 
 
-def _check_bottom_top_extremes(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        pool = enumerate_universe(n, ceiling).elements
-        least = [u for u in pool if all(leq(u, v) for v in pool)]
-        greatest = [u for u in pool if all(leq(v, u) for v in pool)]
-        if least != [bottom(n)]:
-            return f"bottom({n}) != {least}"
-        if greatest != [top(n)]:
-            return f"top({n}) != {greatest}"
+def _check_bottom_top_extremes(universe: LatticeUniverse) -> str | None:
+    n, pool = universe.n, universe.elements
+    least = [u for u in pool if all(leq(u, v) for v in pool)]
+    greatest = [u for u in pool if all(leq(v, u) for v in pool)]
+    if least != [bottom(n)]:
+        return f"bottom({n}) != {least}"
+    if greatest != [top(n)]:
+        return f"top({n}) != {greatest}"
     return None
 
 
-def _check_excess_iff_not_bottom(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for l in enumerate_universe(n, ceiling):
-            no_excess = not excess_indices(l)
-            flat = bool(is_near_constant(l.components))
-            if not (no_excess == flat == (l == bottom(n))):
-                return f"at {l}"
+def _check_excess_iff_not_bottom(universe: LatticeUniverse) -> str | None:
+    for l in universe:
+        no_excess = not excess_indices(l)
+        flat = bool(is_near_constant(l.components))
+        if not (no_excess == flat == (l == bottom(universe.n))):
+            return f"at {l}"
     return None
 
 
-def _check_lattice_bounds_unique(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        universe = enumerate_universe(n, ceiling)
-        # the brute-force bounds are symmetric, so each unordered pair once
-        for a, b in combinations_with_replacement(universe.elements, 2):
-            meet_bruteforce(a, b, universe)  # raises NotALattice on failure
-            join_bruteforce(a, b, universe)
+def _check_lattice_bounds_unique(universe: LatticeUniverse) -> str | None:
+    # the brute-force bounds are symmetric, so each unordered pair once
+    for a, b in combinations_with_replacement(universe.elements, 2):
+        meet_bruteforce(a, b, universe)  # raises NotALattice on failure
+        join_bruteforce(a, b, universe)
     return None
 
 
-def _check_meet_oracle_agreement(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        universe = enumerate_universe(n, ceiling)
-        for a, b in combinations_with_replacement(universe.elements, 2):
-            low = meet_bruteforce(a, b, universe)
-            high = join_bruteforce(a, b, universe)
-            for s, t in ((a, b),) if a == b else ((a, b), (b, a)):
-                if meet(s, t) != low:
-                    return f"meet({s}, {t})"
-                if join(s, t, ceiling) != high:
-                    return f"join({s}, {t})"
+def _check_meet_oracle_agreement(universe: LatticeUniverse) -> str | None:
+    for a, b in combinations_with_replacement(universe.elements, 2):
+        low = meet_bruteforce(a, b, universe)
+        high = join_bruteforce(a, b, universe)
+        for s, t in ((a, b),) if a == b else ((a, b), (b, a)):
+            if meet(s, t) != low:
+                return f"meet({s}, {t})"
+            if join(s, t, universe.n) != high:
+                return f"join({s}, {t})"
     return None
 
 
-def _check_meet_last_law(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
-            if meet(a, b).last != min(a.last, b.last):
-                return f"meet({a}, {b})"
+def _check_meet_last_law(universe: LatticeUniverse) -> str | None:
+    for a, b in product(universe, repeat=2):
+        if meet(a, b).last != min(a.last, b.last):
+            return f"meet({a}, {b})"
     return None
 
 
-def _check_meet_semilattice_laws(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        universe = enumerate_universe(n, ceiling)
-        pool = universe.elements
-        # one meet per ordered pair; the triple laws are index lookups
-        table = [[universe.index(meet(a, b)) for b in pool] for a in pool]
-        for i, a in enumerate(pool):
-            if table[i][i] != i:
-                return f"not idempotent at {a}"
-        down, _ = _order_masks(pool)
-        for (i, a), (j, b) in product(enumerate(pool), repeat=2):
-            low = table[i][j]
-            if low != table[j][i]:
-                return f"not commutative: {a}, {b}"
-            if not (down[i] >> low & 1 and down[j] >> low & 1):
-                return f"not a lower bound: {a}, {b}"
-        for (i, a), (j, b) in product(enumerate(pool), repeat=2):
-            low = table[i][j]
-            # bit k set: pool[k] is below a and b but not below their meet
-            not_greatest = down[i] & down[j] & ~down[low]
-            left = table[low]  # meet(meet(a, b), c) for every c
-            right = [table[i][k] for k in table[j]]  # meet(a, meet(b, c))
-            not_associative = 0
-            if left != right:
-                not_associative = sum(
-                    1 << k for k, (x, y) in enumerate(zip(left, right)) if x != y
-                )
-            if not_greatest or not_associative:
-                k = _lowest_bit(not_greatest | not_associative)
-                law = "greatest" if not_greatest >> k & 1 else "associative"
-                return f"not {law}: {a}, {b}, {pool[k]}"
+def _check_meet_semilattice_laws(universe: LatticeUniverse) -> str | None:
+    pool = universe.elements
+    # one meet per ordered pair; the triple laws are index lookups
+    table = [[universe.index(meet(a, b)) for b in pool] for a in pool]
+    for i, a in enumerate(pool):
+        if table[i][i] != i:
+            return f"not idempotent at {a}"
+    down, _ = _order_masks(pool)
+    for (i, a), (j, b) in product(enumerate(pool), repeat=2):
+        low = table[i][j]
+        if low != table[j][i]:
+            return f"not commutative: {a}, {b}"
+        if not (down[i] >> low & 1 and down[j] >> low & 1):
+            return f"not a lower bound: {a}, {b}"
+    for (i, a), (j, b) in product(enumerate(pool), repeat=2):
+        low = table[i][j]
+        # bit k set: pool[k] is below a and b but not below their meet
+        not_greatest = down[i] & down[j] & ~down[low]
+        left = table[low]  # meet(meet(a, b), c) for every c
+        right = [table[i][k] for k in table[j]]  # meet(a, meet(b, c))
+        not_associative = 0
+        if left != right:
+            not_associative = sum(
+                1 << k for k, (x, y) in enumerate(zip(left, right)) if x != y
+            )
+        if not_greatest or not_associative:
+            k = _lowest_bit(not_greatest | not_associative)
+            law = "greatest" if not_greatest >> k & 1 else "associative"
+            return f"not {law}: {a}, {b}, {pool[k]}"
     return None
 
 
-def _check_join_absorption(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
-            if join(a, meet(a, b), ceiling) != a:
-                return f"join-absorb: {a}, {b}"
-            if meet(a, join(a, b, ceiling)) != a:
-                return f"meet-absorb: {a}, {b}"
+def _check_join_absorption(universe: LatticeUniverse) -> str | None:
+    n = universe.n
+    for a, b in product(universe, repeat=2):
+        if join(a, meet(a, b), n) != a:
+            return f"join-absorb: {a}, {b}"
+        if meet(a, join(a, b, n)) != a:
+            return f"meet-absorb: {a}, {b}"
     return None
 
 
-def _check_closure_equals_order(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        report = closure_equals_order(n, ceiling)
-        if not report.passed:
-            return f"n={n}: {report.witness}"
+def _check_closure_equals_order(universe: LatticeUniverse) -> str | None:
+    n = universe.n
+    report = closure_equals_order(n, n)
+    if not report.passed:
+        return f"n={n}: {report.witness}"
     return None
 
 
-def _check_covering_within_balancing(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        covers = covering_pairs(n, ceiling)
-        if covers != covering_pairs_by_definition(n, ceiling):
-            return f"n={n}: covers differ from the definition"
-        steps = {(s.target, s.source) for s in minimal_balancing_relation(n, ceiling)}
-        for low, high in covers:
-            if (low, high) not in steps:
-                return f"cover {low} < {high}"
+def _check_covering_within_balancing(universe: LatticeUniverse) -> str | None:
+    n = universe.n
+    covers = covering_pairs(n, n)
+    if covers != covering_pairs_by_definition(n, n):
+        return f"n={n}: covers differ from the definition"
+    steps = {(s.target, s.source) for s in minimal_balancing_relation(n, n)}
+    for low, high in covers:
+        if (low, high) not in steps:
+            return f"cover {low} < {high}"
     return None
 
 
-def _check_balancing_step_decrement(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for step in minimal_balancing_relation(n, ceiling):
-            l, j, target = step.source, step.excess_index, step.target
-            deep = l[j - 1]
-            shallow = max(c for c in l if c <= deep - 2)
-            drop = sum_components(l) - sum_components(target)
-            if drop != deep - shallow - 1 or drop < 1:
-                return f"{l} at {j}"
-            if not (leq(target, l) and target != l):
-                return f"{l} at {j} not a descent"
+def _check_balancing_step_decrement(universe: LatticeUniverse) -> str | None:
+    for step in minimal_balancing_relation(universe.n, universe.n):
+        l, j, target = step.source, step.excess_index, step.target
+        deep = l[j - 1]
+        shallow = max(c for c in l if c <= deep - 2)
+        drop = sum_components(l) - sum_components(target)
+        if drop != deep - shallow - 1 or drop < 1:
+            return f"{l} at {j}"
+        if not (leq(target, l) and target != l):
+            return f"{l} at {j} not a descent"
     return None
 
 
-def _check_irreducibility_triple_agreement(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        universe = enumerate_universe(n, ceiling)
-        for l in universe:
-            by_covers = is_join_irreducible_by_covers(l, universe)
-            by_balancing = is_join_irreducible_by_balancing(l)
-            by_shape = is_join_irreducible_by_decomposition(l)
-            if not (by_covers == by_balancing == by_shape):
-                return f"{l}: covers={by_covers} balancing={by_balancing} shape={by_shape}"
-            if decompose_segments(l).concatenation() != l.components:
-                return f"split broken at {l}"
+def _check_irreducibility_triple_agreement(universe: LatticeUniverse) -> str | None:
+    for l in universe:
+        by_covers = is_join_irreducible_by_covers(l, universe)
+        by_balancing = is_join_irreducible_by_balancing(l)
+        by_shape = is_join_irreducible_by_decomposition(l)
+        if not (by_covers == by_balancing == by_shape):
+            return f"{l}: covers={by_covers} balancing={by_balancing} shape={by_shape}"
+        if decompose_segments(l).concatenation() != l.components:
+            return f"split broken at {l}"
     return None
 
 
-def _check_unique_cover_first_step(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n, start=2):
-        universe = enumerate_universe(n, ceiling)
-        for l in universe:
-            if not is_join_irreducible_by_covers(l, universe):
-                continue
-            if _lower_covers(l) != [balancing_step(l, excess_indices(l)[0])]:
-                return f"at {l}"
+def _check_unique_cover_first_step(universe: LatticeUniverse) -> str | None:
+    for l in universe:
+        if not is_join_irreducible_by_covers(l, universe):
+            continue
+        if _lower_covers(l) != [balancing_step(l, excess_indices(l)[0])]:
+            return f"at {l}"
     return None
 
 
-def _check_monotone_parameters(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for a, b in product(enumerate_universe(n, ceiling), repeat=2):
-            if not leq(a, b):
-                continue
-            if a != b and not sum_components(a) < sum_components(b):
-                return f"sum not strict: {a}, {b}"
-            for d in range(n + 1):
-                if nodes_within_depth(a, d) < nodes_within_depth(b, d):
-                    return f"{a}, {b} at d={d}"
+def _check_monotone_parameters(universe: LatticeUniverse) -> str | None:
+    for a, b in product(universe, repeat=2):
+        if not leq(a, b):
+            continue
+        if a != b and not sum_components(a) < sum_components(b):
+            return f"sum not strict: {a}, {b}"
+        for d in range(universe.n + 1):
+            if nodes_within_depth(a, d) < nodes_within_depth(b, d):
+                return f"{a}, {b} at d={d}"
     return None
 
 
-def _check_kraft_realization(max_n: int, ceiling: int) -> str | None:
-    for n in _sizes(max_n):
-        for l in enumerate_universe(n, ceiling):
-            code = canonical_code(l)
-            if tuple(len(w) for w in code) != l.components:
-                return f"lengths differ at {l}"
-            for a in code:
-                for b in code:
-                    if a != b and b.startswith(a):
-                        return f"prefix clash at {l}"
-            tree = tree_from_sequence(l)
-            if sequence_from_tree(tree) != l:
-                return f"round trip at {l}"
-            if tree_from_sequence(sequence_from_tree(tree)) != tree:
-                return f"tree round trip at {l}"
-            if tuple(sorted(leaf_codewords(tree))) != tuple(sorted(code)):
-                return f"codewords differ at {l}"
+def _check_kraft_realization(universe: LatticeUniverse) -> str | None:
+    for l in universe:
+        code = canonical_code(l)
+        if tuple(len(w) for w in code) != l.components:
+            return f"lengths differ at {l}"
+        for a in code:
+            for b in code:
+                if a != b and b.startswith(a):
+                    return f"prefix clash at {l}"
+        tree = tree_from_sequence(l)
+        if sequence_from_tree(tree) != l:
+            return f"round trip at {l}"
+        if tree_from_sequence(sequence_from_tree(tree)) != tree:
+            return f"tree round trip at {l}"
+        if tuple(sorted(leaf_codewords(tree))) != tuple(sorted(code)):
+            return f"codewords differ at {l}"
     return None
 
 
@@ -431,9 +410,10 @@ def run_checks(
 
     Reports come back in registry order regardless of the order names were
     given in, keeping output stable.  Sizes beyond ``ceiling`` are refused
-    before any check runs; after that, an ``ImbalatticeError`` raised inside
-    a check becomes that check's failure, with the error as its witness, and
-    the remaining checks still run.
+    before any check runs.  Each check then sees the universes of length
+    1 to ``max_n`` in turn and stops at the first witness it returns; an
+    ``ImbalatticeError`` raised inside a check becomes that check's failure,
+    with the error as its witness, and the remaining checks still run.
     """
     selected = set(CHECKS) if names is None else set(names)
     unknown = selected - set(CHECKS)
@@ -442,11 +422,16 @@ def run_checks(
     _check_size(max_n, ceiling)
     reports = []
     for name, check in CHECKS.items():
-        if name in selected:
-            try:
-                witness = check(max_n, ceiling)
-            except ImbalatticeError as exc:
-                witness = f"{type(exc).__name__}: {exc}"
-            status = "pass" if witness is None else "fail"
-            reports.append(PropertyReport(name, max_n, status, witness))
+        if name not in selected:
+            continue
+        witness = None
+        try:
+            for n in range(1, max_n + 1):
+                witness = check(enumerate_universe(n, ceiling))
+                if witness is not None:
+                    break
+        except ImbalatticeError as exc:
+            witness = f"{type(exc).__name__}: {exc}"
+        status = "pass" if witness is None else "fail"
+        reports.append(PropertyReport(name, max_n, status, witness))
     return reports

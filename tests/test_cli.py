@@ -140,6 +140,16 @@ class TestOutputs:
             "2,2,3,3,3,4,4",
         ]
 
+    def test_irreducibles_runs_only_the_requested_test(self, capsys, monkeypatch):
+        expected = run(capsys, "irreducibles", "9", "--method", "decomposition")
+
+        def refuse(el, universe):
+            raise AssertionError("the covers test ran for --method decomposition")
+
+        monkeypatch.setattr(imbalattice.cli, "is_join_irreducible_by_covers", refuse)
+        assert run(capsys, "irreducibles", "9", "--method", "decomposition") == expected
+        assert expected[0] == 0
+
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, capsys):
@@ -199,6 +209,18 @@ class TestVerifyCommand:
         assert (report.status, report.witness) == (
             "fail", "ElementNotInUniverse: 0 is not a length-2 sequence",
         )
+
+    def test_a_check_sees_each_size_in_order_until_its_first_witness(self, monkeypatch):
+        seen = []
+
+        def planted(universe):
+            seen.append(universe.n)
+            return "planted at n=3" if universe.n == 3 else None
+
+        monkeypatch.setitem(CHECKS, "meet-last-law", planted)
+        (report,) = run_checks(6, ["meet-last-law"])
+        assert seen == [1, 2, 3]
+        assert (report.n, report.status, report.witness) == (6, "fail", "planted at n=3")
 
     def test_size_beyond_the_ceiling_is_refused_before_any_check(self, capsys):
         code, out, err = run(capsys, "verify", "21")
