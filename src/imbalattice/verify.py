@@ -1,13 +1,18 @@
 """Named, machine-checkable law suite over the whole library.
 
-Each check takes one length-n universe and returns the witness of the first
+Each check takes one ``SizeMemo`` (a length-n universe plus memos of the
+calls several checks share) and returns the witness of the first
 counterexample it finds there, or ``None`` when the law holds.
 ``run_checks`` owns the size sweep: it refuses sizes beyond the ceiling,
-hands each check the universes n = 1, 2, ... up to the requested maximum,
-stops a check at its first witness, and turns the results into
-``PropertyReport``s named by the registry keys, which are the stable names
-the command line accepts.  The report order always follows the registry,
-so output is deterministic no matter how the checks are scheduled.
+then walks n = 1, 2, ... up to the requested maximum, sizes outermost.
+At each size it builds one ``SizeMemo``, runs every check that has no
+witness yet in registry order, and drops the memo before the next size.
+The memos fill on demand and never store an exception, so a check sees
+the same values, stops at the same pair and gives the same witness as it
+would alone.  The results become ``PropertyReport``s named by the registry
+keys, which are the stable names the command line accepts.  The report
+order always follows the registry, so output is deterministic no matter
+how the checks are scheduled.
 """
 
 from __future__ import annotations
@@ -68,8 +73,6 @@ from .trees import (
 
 __all__ = ["CHECKS", "run_checks"]
 
-Check = Callable[[LatticeUniverse], "str | None"]
-
 # (first sums at most second's, second's at most first's) -> verdict
 _VERDICTS = {
     (True, True): OrderVerdict.EQUAL,
@@ -79,26 +82,78 @@ _VERDICTS = {
 }
 
 
-def _order_masks(pool: tuple[PathLengthSequence, ...]) -> tuple[list[int], list[int]]:
-    """Per element index, the bitmasks of the indices below it (``down``) and
-    above it (``up``), from one public ``leq`` call per ordered pair."""
-    down = [0] * len(pool)
-    up = [0] * len(pool)
-    for i, a in enumerate(pool):
-        for j, b in enumerate(pool):
-            if leq(a, b):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return down, up
+class SizeMemo:
+    """One size of the law suite: its universe and on-demand memos of the
+    expensive calls that several checks make.
+
+    ``run_checks`` builds one per size and drops it when that size is done,
+    so nothing is cached beyond one call.  A memo entry is filled the first
+    time a check asks for it and an exception is never stored, so every
+    check that repeats a failing call gets the error itself.  ``join`` and
+    the oracle's bounds are this module's globals, looked up at call time.
+    """
+
+    __slots__ = ("universe", "n", "elements", "_joins", "_bounds", "_masks")
+
+    def __init__(self, universe: LatticeUniverse) -> None:
+        self.universe = universe
+        self.n = universe.n
+        self.elements = universe.elements
+        self._joins: dict[tuple[tuple[int, ...], tuple[int, ...]], PathLengthSequence] = {}
+        self._bounds: dict[
+            tuple[tuple[int, ...], tuple[int, ...]],
+            tuple[PathLengthSequence, PathLengthSequence],
+        ] = {}
+        self._masks: tuple[list[int], list[int]] | None = None
+
+    def join(self, s: PathLengthSequence, t: PathLengthSequence) -> PathLengthSequence:
+        """The library's ``join(s, t)``, keyed by the component tuples, so
+        arguments outside the universe are memoized too."""
+        key = s.components, t.components
+        result = self._joins.get(key)
+        if result is None:
+            result = self._joins[key] = join(s, t, self.n)
+        return result
+
+    def bounds(
+        self, a: PathLengthSequence, b: PathLengthSequence
+    ) -> tuple[PathLengthSequence, PathLengthSequence]:
+        """The oracle's ``(meet_bruteforce, join_bruteforce)`` of ``a`` and
+        ``b``; raises ``NotALattice`` when either bound is not unique."""
+        key = a.components, b.components
+        result = self._bounds.get(key)
+        if result is None:
+            low = meet_bruteforce(a, b, self.universe)
+            high = join_bruteforce(a, b, self.universe)
+            result = self._bounds[key] = low, high
+        return result
+
+    def order_masks(self) -> tuple[list[int], list[int]]:
+        """Per element index, the bitmasks of the indices below it (``down``)
+        and above it (``up``), from one public ``leq`` call per ordered pair."""
+        if self._masks is None:
+            pool = self.elements
+            down = [0] * len(pool)
+            up = [0] * len(pool)
+            for i, a in enumerate(pool):
+                for j, b in enumerate(pool):
+                    if leq(a, b):
+                        up[i] |= 1 << j
+                        down[j] |= 1 << i
+            self._masks = down, up
+        return self._masks
+
+
+Check = Callable[[SizeMemo], "str | None"]
 
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _check_partial_order_laws(universe: LatticeUniverse) -> str | None:
-    pool = universe.elements
-    _, up = _order_masks(pool)
+def _check_partial_order_laws(size: SizeMemo) -> str | None:
+    pool = size.elements
+    _, up = size.order_masks()
     for i, a in enumerate(pool):
         if not up[i] >> i & 1:
             return f"not reflexive at {a}"
@@ -114,8 +169,8 @@ def _check_partial_order_laws(universe: LatticeUniverse) -> str | None:
     return None
 
 
-def _check_last_suffix_monotonicity(universe: LatticeUniverse) -> str | None:
-    for a, b in product(universe, repeat=2):
+def _check_last_suffix_monotonicity(size: SizeMemo) -> str | None:
+    for a, b in product(size.elements, repeat=2):
         if not leq(a, b):
             continue
         if a.last > b.last:
@@ -125,22 +180,31 @@ def _check_last_suffix_monotonicity(universe: LatticeUniverse) -> str | None:
     return None
 
 
-def _check_scale_independence(universe: LatticeUniverse) -> str | None:
-    for a, b in product(universe, repeat=2):
+def _check_scale_independence(size: SizeMemo) -> str | None:
+    pool = size.elements
+    sums: dict[tuple[int, int], tuple[int, ...]] = {}  # (index, scale) -> sums
+
+    def partial_sums(i: int, scale: int) -> tuple[int, ...]:
+        key = i, scale
+        if key not in sums:
+            sums[key] = scaled_partial_sums(pool[i], scale).sums
+        return sums[key]
+
+    for (i, a), (j, b) in product(enumerate(pool), repeat=2):
         verdict = compare(a, b)
         base = max(a.last, b.last)
         for scale in (base, base + 1, base + 5):
             if compare(a, b, scale=scale) != verdict:
                 return f"verdict varies: {a} vs {b}"
-            x = scaled_partial_sums(a, scale).sums
-            y = scaled_partial_sums(b, scale).sums
+            x = partial_sums(i, scale)
+            y = partial_sums(j, scale)
             if _VERDICTS[all(map(le, x, y)), all(map(le, y, x))] is not verdict:
                 return f"partial sums disagree at scale {scale}: {a} vs {b}"
     return None
 
 
-def _check_expansion_monotonicity(universe: LatticeUniverse) -> str | None:
-    for a, b in product(universe, repeat=2):
+def _check_expansion_monotonicity(size: SizeMemo) -> str | None:
+    for a, b in product(size.elements, repeat=2):
         if leq(a, b):
             if not leq(lower_expansion(a), lower_expansion(b)):
                 return f"lower fails: {a}, {b}"
@@ -149,45 +213,45 @@ def _check_expansion_monotonicity(universe: LatticeUniverse) -> str | None:
     return None
 
 
-def _check_expansion_coincidence(universe: LatticeUniverse) -> str | None:
-    for l in universe:
+def _check_expansion_coincidence(size: SizeMemo) -> str | None:
+    for l in size.elements:
         constant = len(set(l.components)) == 1
         if constant != (lower_expansion(l) == upper_expansion(l)):
             return f"at {l}"
     return None
 
 
-def _check_upper_lower_expansion(universe: LatticeUniverse) -> str | None:
-    for a, b in product(universe, repeat=2):
+def _check_upper_lower_expansion(size: SizeMemo) -> str | None:
+    for a, b in product(size.elements, repeat=2):
         if leq(a, b) and a.last < b.last:
             if not leq(upper_expansion(a), lower_expansion(b)):
                 return f"{a} vs {b}"
     return None
 
 
-def _check_contraction_sandwich(universe: LatticeUniverse) -> str | None:
-    if universe.n == 1:
+def _check_contraction_sandwich(size: SizeMemo) -> str | None:
+    if size.n == 1:
         return None  # a single leaf has no contraction
-    for l in universe:
+    for l in size.elements:
         squeezed = contraction(l)
         if not (leq(lower_expansion(squeezed), l) and leq(l, upper_expansion(squeezed))):
             return f"at {l}"
     return None
 
 
-def _check_contraction_round_trip(universe: LatticeUniverse) -> str | None:
-    if universe.n == 1:
+def _check_contraction_round_trip(size: SizeMemo) -> str | None:
+    if size.n == 1:
         return None  # a single leaf has no contraction
-    for l in universe:
-        merged_position = universe.n - suffix_length(l) + 1
+    for l in size.elements:
+        merged_position = size.n - suffix_length(l) + 1
         if expansion_at(contraction(l), merged_position) != l:
             return f"at {l}"
     return None
 
 
-def _check_enumeration_oracle(universe: LatticeUniverse) -> str | None:
-    n = universe.n
-    fast = universe.elements
+def _check_enumeration_oracle(size: SizeMemo) -> str | None:
+    n = size.n
+    fast = size.elements
     slow = enumerate_by_partition(n, n)
     if set(fast) != set(slow):
         extra = sorted(x.components for x in set(fast) ^ set(slow))
@@ -200,8 +264,8 @@ def _check_enumeration_oracle(universe: LatticeUniverse) -> str | None:
     return None
 
 
-def _check_bottom_top_extremes(universe: LatticeUniverse) -> str | None:
-    n, pool = universe.n, universe.elements
+def _check_bottom_top_extremes(size: SizeMemo) -> str | None:
+    n, pool = size.n, size.elements
     least = [u for u in pool if all(leq(u, v) for v in pool)]
     greatest = [u for u in pool if all(leq(v, u) for v in pool)]
     if least != [bottom(n)]:
@@ -211,50 +275,48 @@ def _check_bottom_top_extremes(universe: LatticeUniverse) -> str | None:
     return None
 
 
-def _check_excess_iff_not_bottom(universe: LatticeUniverse) -> str | None:
-    for l in universe:
+def _check_excess_iff_not_bottom(size: SizeMemo) -> str | None:
+    for l in size.elements:
         no_excess = not excess_indices(l)
         flat = bool(is_near_constant(l.components))
-        if not (no_excess == flat == (l == bottom(universe.n))):
+        if not (no_excess == flat == (l == bottom(size.n))):
             return f"at {l}"
     return None
 
 
-def _check_lattice_bounds_unique(universe: LatticeUniverse) -> str | None:
+def _check_lattice_bounds_unique(size: SizeMemo) -> str | None:
     # the brute-force bounds are symmetric, so each unordered pair once
-    for a, b in combinations_with_replacement(universe.elements, 2):
-        meet_bruteforce(a, b, universe)  # raises NotALattice on failure
-        join_bruteforce(a, b, universe)
+    for a, b in combinations_with_replacement(size.elements, 2):
+        size.bounds(a, b)  # raises NotALattice on failure
     return None
 
 
-def _check_meet_oracle_agreement(universe: LatticeUniverse) -> str | None:
-    for a, b in combinations_with_replacement(universe.elements, 2):
-        low = meet_bruteforce(a, b, universe)
-        high = join_bruteforce(a, b, universe)
+def _check_meet_oracle_agreement(size: SizeMemo) -> str | None:
+    for a, b in combinations_with_replacement(size.elements, 2):
+        low, high = size.bounds(a, b)
         for s, t in ((a, b),) if a == b else ((a, b), (b, a)):
             if meet(s, t) != low:
                 return f"meet({s}, {t})"
-            if join(s, t, universe.n) != high:
+            if size.join(s, t) != high:
                 return f"join({s}, {t})"
     return None
 
 
-def _check_meet_last_law(universe: LatticeUniverse) -> str | None:
-    for a, b in product(universe, repeat=2):
+def _check_meet_last_law(size: SizeMemo) -> str | None:
+    for a, b in product(size.elements, repeat=2):
         if meet(a, b).last != min(a.last, b.last):
             return f"meet({a}, {b})"
     return None
 
 
-def _check_meet_semilattice_laws(universe: LatticeUniverse) -> str | None:
-    pool = universe.elements
+def _check_meet_semilattice_laws(size: SizeMemo) -> str | None:
+    pool = size.elements
     # one meet per ordered pair; the triple laws are index lookups
-    table = [[universe.index(meet(a, b)) for b in pool] for a in pool]
+    table = [[size.universe.index(meet(a, b)) for b in pool] for a in pool]
     for i, a in enumerate(pool):
         if table[i][i] != i:
             return f"not idempotent at {a}"
-    down, _ = _order_masks(pool)
+    down, _ = size.order_masks()
     for (i, a), (j, b) in product(enumerate(pool), repeat=2):
         low = table[i][j]
         if low != table[j][i]:
@@ -279,26 +341,25 @@ def _check_meet_semilattice_laws(universe: LatticeUniverse) -> str | None:
     return None
 
 
-def _check_join_absorption(universe: LatticeUniverse) -> str | None:
-    n = universe.n
-    for a, b in product(universe, repeat=2):
-        if join(a, meet(a, b), n) != a:
+def _check_join_absorption(size: SizeMemo) -> str | None:
+    for a, b in product(size.elements, repeat=2):
+        if size.join(a, meet(a, b)) != a:
             return f"join-absorb: {a}, {b}"
-        if meet(a, join(a, b, n)) != a:
+        if meet(a, size.join(a, b)) != a:
             return f"meet-absorb: {a}, {b}"
     return None
 
 
-def _check_closure_equals_order(universe: LatticeUniverse) -> str | None:
-    n = universe.n
+def _check_closure_equals_order(size: SizeMemo) -> str | None:
+    n = size.n
     report = closure_equals_order(n, n)
     if not report.passed:
         return f"n={n}: {report.witness}"
     return None
 
 
-def _check_covering_within_balancing(universe: LatticeUniverse) -> str | None:
-    n = universe.n
+def _check_covering_within_balancing(size: SizeMemo) -> str | None:
+    n = size.n
     covers = covering_pairs(n, n)
     if covers != covering_pairs_by_definition(n, n):
         return f"n={n}: covers differ from the definition"
@@ -309,8 +370,8 @@ def _check_covering_within_balancing(universe: LatticeUniverse) -> str | None:
     return None
 
 
-def _check_balancing_step_decrement(universe: LatticeUniverse) -> str | None:
-    for step in minimal_balancing_relation(universe.n, universe.n):
+def _check_balancing_step_decrement(size: SizeMemo) -> str | None:
+    for step in minimal_balancing_relation(size.n, size.n):
         l, j, target = step.source, step.excess_index, step.target
         deep = l[j - 1]
         shallow = max(c for c in l if c <= deep - 2)
@@ -322,9 +383,9 @@ def _check_balancing_step_decrement(universe: LatticeUniverse) -> str | None:
     return None
 
 
-def _check_irreducibility_triple_agreement(universe: LatticeUniverse) -> str | None:
-    for l in universe:
-        by_covers = is_join_irreducible_by_covers(l, universe)
+def _check_irreducibility_triple_agreement(size: SizeMemo) -> str | None:
+    for l in size.elements:
+        by_covers = is_join_irreducible_by_covers(l, size.universe)
         by_balancing = is_join_irreducible_by_balancing(l)
         by_shape = is_join_irreducible_by_decomposition(l)
         if not (by_covers == by_balancing == by_shape):
@@ -334,29 +395,33 @@ def _check_irreducibility_triple_agreement(universe: LatticeUniverse) -> str | N
     return None
 
 
-def _check_unique_cover_first_step(universe: LatticeUniverse) -> str | None:
-    for l in universe:
-        if not is_join_irreducible_by_covers(l, universe):
+def _check_unique_cover_first_step(size: SizeMemo) -> str | None:
+    for l in size.elements:
+        if not is_join_irreducible_by_covers(l, size.universe):
             continue
         if _lower_covers(l) != [balancing_step(l, excess_indices(l)[0])]:
             return f"at {l}"
     return None
 
 
-def _check_monotone_parameters(universe: LatticeUniverse) -> str | None:
-    for a, b in product(universe, repeat=2):
+def _check_monotone_parameters(size: SizeMemo) -> str | None:
+    pool = size.elements
+    # each element's sum and node counts within depth d = 0..n, once
+    sums = [sum_components(x) for x in pool]
+    counts = [[nodes_within_depth(x, d) for d in range(size.n + 1)] for x in pool]
+    for (i, a), (j, b) in product(enumerate(pool), repeat=2):
         if not leq(a, b):
             continue
-        if a != b and not sum_components(a) < sum_components(b):
+        if a != b and not sums[i] < sums[j]:
             return f"sum not strict: {a}, {b}"
-        for d in range(universe.n + 1):
-            if nodes_within_depth(a, d) < nodes_within_depth(b, d):
+        for d, (x, y) in enumerate(zip(counts[i], counts[j])):
+            if x < y:
                 return f"{a}, {b} at d={d}"
     return None
 
 
-def _check_kraft_realization(universe: LatticeUniverse) -> str | None:
-    for l in universe:
+def _check_kraft_realization(size: SizeMemo) -> str | None:
+    for l in size.elements:
         code = canonical_code(l)
         if tuple(len(w) for w in code) != l.components:
             return f"lengths differ at {l}"
@@ -408,30 +473,39 @@ def run_checks(
 ) -> list[PropertyReport]:
     """Run the named checks (all by default) for sizes up to ``max_n``.
 
+    ``names`` is a collection of check names; a bare ``str`` is refused.
     Reports come back in registry order regardless of the order names were
     given in, keeping output stable.  Sizes beyond ``ceiling`` are refused
-    before any check runs.  Each check then sees the universes of length
-    1 to ``max_n`` in turn and stops at the first witness it returns; an
+    before any check runs.  Sizes then run outermost: for n = 1 to
+    ``max_n`` one ``SizeMemo`` of the length-n universe is built, each
+    selected check without a witness yet runs on it in registry order, and
+    the memo is dropped.  A check stops at the first witness it returns; an
     ``ImbalatticeError`` raised inside a check becomes that check's failure,
-    with the error as its witness, and the remaining checks still run.
+    with the error as its witness, and the remaining checks still run.  The
+    memos never store an exception, so every check that repeats a failing
+    call reports the error itself.
     """
+    if isinstance(names, str):
+        raise TypeError(
+            f"names must be a list of check names, not a str; pass [{names!r}]"
+        )
     selected = set(CHECKS) if names is None else set(names)
     unknown = selected - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     _check_size(max_n, ceiling)
-    reports = []
-    for name, check in CHECKS.items():
-        if name not in selected:
-            continue
-        witness = None
-        try:
-            for n in range(1, max_n + 1):
-                witness = check(enumerate_universe(n, ceiling))
-                if witness is not None:
-                    break
-        except ImbalatticeError as exc:
-            witness = f"{type(exc).__name__}: {exc}"
-        status = "pass" if witness is None else "fail"
-        reports.append(PropertyReport(name, max_n, status, witness))
-    return reports
+    witnesses: dict[str, str | None] = {name: None for name in CHECKS if name in selected}
+    for n in range(1, max_n + 1):
+        pending = [name for name, witness in witnesses.items() if witness is None]
+        if not pending:
+            break
+        size = SizeMemo(enumerate_universe(n, ceiling))
+        for name in pending:
+            try:
+                witnesses[name] = CHECKS[name](size)
+            except ImbalatticeError as exc:
+                witnesses[name] = f"{type(exc).__name__}: {exc}"
+    return [
+        PropertyReport(name, max_n, "pass" if witness is None else "fail", witness)
+        for name, witness in witnesses.items()
+    ]
