@@ -6,8 +6,8 @@ line per subcommand under a profiler and checks that each is called.
 Output is plain, stable and machine-readable: identical invocations print
 identical bytes.
 
-Exit codes: 0 on success, 1 for invalid sequences or failed verification,
-2 for usage and parse errors (argparse's convention).
+Exit codes: 0 on success, 1 for invalid sequences, failed verification
+or a failed write, 2 for usage and parse errors (argparse's convention).
 """
 
 from __future__ import annotations
@@ -237,17 +237,22 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """Run the command line, ending quietly when the reader closes stdout.
+    """Run the command line; a write that fails ends it with exit 1 and no
+    traceback.
 
-    ``imbalattice enumerate 16 | head -1`` closes the pipe early.  Output
-    that can no longer be written is dropped: stdout is pointed at
-    ``os.devnull``, so the flush at interpreter exit cannot raise again,
-    and the exit code is 1, as for any write error.
+    A failed write to a file or to stdout (``tree 1,1 --dot /tmp``, or
+    ``enumerate 5 > /dev/full``) prints one ``error:`` line on stderr.
+    ``imbalattice enumerate 16 | head -1`` closes the pipe early; the
+    reader is gone, so that ends quietly.  Either way output that is not
+    yet written is dropped: stdout is pointed at ``os.devnull``, so the
+    flush at interpreter exit cannot raise again.
     """
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1

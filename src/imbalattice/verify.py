@@ -7,16 +7,21 @@ counterexample it finds there, or ``None`` when the law holds.
 then walks n = 1, 2, ... up to the requested maximum, sizes outermost.
 At each size it builds one ``SizeMemo``, runs every check that has no
 witness yet in registry order, and drops the memo before the next size.
-The memos fill on demand and never store an exception, so a check sees
-the same values, stops at the same pair and gives the same witness as it
-would alone.  The results become ``PropertyReport``s named by the registry
-keys, which are the stable names the command line accepts.  The report
-order always follows the registry, so output is deterministic no matter
-how the checks are scheduled.
+The memo caches ``meet`` and ``join`` per ordered pair, the oracle's
+bounds per pair and the ``leq`` bitmasks, with ``functools.cache`` and
+``cached_property``, for that one size only.  A cache never stores an
+exception and calls this module's globals at call time, so a check sees
+the same values, errors and patched functions, stops at the same pair
+and gives the same witness as it would alone.  The results become
+``PropertyReport``s named by the registry keys, which are the stable
+names the command line accepts.  The report order always follows the
+registry, so output is deterministic no matter how the checks are
+scheduled.
 """
 
 from __future__ import annotations
 
+from functools import cache, cached_property
 from itertools import combinations_with_replacement, product
 from operator import le
 from typing import Callable, Iterable
@@ -55,7 +60,6 @@ from .oracle import (
 )
 from .sequences import (
     OrderVerdict,
-    PathLengthSequence,
     compare,
     leq,
     scaled_partial_sums,
@@ -83,65 +87,46 @@ _VERDICTS = {
 
 
 class SizeMemo:
-    """One size of the law suite: its universe and on-demand memos of the
-    expensive calls that several checks make.
+    """One size of the law suite: its universe and memos of the calls that
+    several checks make.
 
+    ``meet`` and ``join`` are memoized per ordered pair, the oracle's
+    ``bounds`` per pair and ``order_masks`` once, all with ``functools``.
     ``run_checks`` builds one per size and drops it when that size is done,
-    so nothing is cached beyond one call.  A memo entry is filled the first
-    time a check asks for it and an exception is never stored, so every
-    check that repeats a failing call gets the error itself.  ``join`` and
-    the oracle's bounds are this module's globals, looked up at call time.
+    so nothing outlives one size of one ``run_checks`` call.
+    ``functools.cache`` never stores an exception, so every check that
+    repeats a failing call gets the error itself.  The wrappers look up
+    ``meet``, ``join`` and the oracle's bounds as this module's globals at
+    call time, so a patched global is seen.  They close over the universe,
+    not the memo, so the memo is freed as soon as it is dropped.  Call them
+    positionally: ``functools.cache`` keys keyword calls apart.
     """
-
-    __slots__ = ("universe", "n", "elements", "_joins", "_bounds", "_masks")
 
     def __init__(self, universe: LatticeUniverse) -> None:
         self.universe = universe
-        self.n = universe.n
+        self.n = n = universe.n
         self.elements = universe.elements
-        self._joins: dict[tuple[tuple[int, ...], tuple[int, ...]], PathLengthSequence] = {}
-        self._bounds: dict[
-            tuple[tuple[int, ...], tuple[int, ...]],
-            tuple[PathLengthSequence, PathLengthSequence],
-        ] = {}
-        self._masks: tuple[list[int], list[int]] | None = None
+        self.meet = cache(lambda s, t: meet(s, t))
+        self.join = cache(lambda s, t: join(s, t, n))
+        # the oracle's (meet_bruteforce, join_bruteforce); raises
+        # NotALattice when either bound is not unique
+        self.bounds = cache(
+            lambda a, b: (meet_bruteforce(a, b, universe), join_bruteforce(a, b, universe))
+        )
 
-    def join(self, s: PathLengthSequence, t: PathLengthSequence) -> PathLengthSequence:
-        """The library's ``join(s, t)``, keyed by the component tuples, so
-        arguments outside the universe are memoized too."""
-        key = s.components, t.components
-        result = self._joins.get(key)
-        if result is None:
-            result = self._joins[key] = join(s, t, self.n)
-        return result
-
-    def bounds(
-        self, a: PathLengthSequence, b: PathLengthSequence
-    ) -> tuple[PathLengthSequence, PathLengthSequence]:
-        """The oracle's ``(meet_bruteforce, join_bruteforce)`` of ``a`` and
-        ``b``; raises ``NotALattice`` when either bound is not unique."""
-        key = a.components, b.components
-        result = self._bounds.get(key)
-        if result is None:
-            low = meet_bruteforce(a, b, self.universe)
-            high = join_bruteforce(a, b, self.universe)
-            result = self._bounds[key] = low, high
-        return result
-
+    @cached_property
     def order_masks(self) -> tuple[list[int], list[int]]:
         """Per element index, the bitmasks of the indices below it (``down``)
         and above it (``up``), from one public ``leq`` call per ordered pair."""
-        if self._masks is None:
-            pool = self.elements
-            down = [0] * len(pool)
-            up = [0] * len(pool)
-            for i, a in enumerate(pool):
-                for j, b in enumerate(pool):
-                    if leq(a, b):
-                        up[i] |= 1 << j
-                        down[j] |= 1 << i
-            self._masks = down, up
-        return self._masks
+        pool = self.elements
+        down = [0] * len(pool)
+        up = [0] * len(pool)
+        for i, a in enumerate(pool):
+            for j, b in enumerate(pool):
+                if leq(a, b):
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+        return down, up
 
 
 Check = Callable[[SizeMemo], "str | None"]
@@ -153,7 +138,7 @@ def _lowest_bit(mask: int) -> int:
 
 def _check_partial_order_laws(size: SizeMemo) -> str | None:
     pool = size.elements
-    _, up = size.order_masks()
+    _, up = size.order_masks
     for i, a in enumerate(pool):
         if not up[i] >> i & 1:
             return f"not reflexive at {a}"
@@ -182,14 +167,7 @@ def _check_last_suffix_monotonicity(size: SizeMemo) -> str | None:
 
 def _check_scale_independence(size: SizeMemo) -> str | None:
     pool = size.elements
-    sums: dict[tuple[int, int], tuple[int, ...]] = {}  # (index, scale) -> sums
-
-    def partial_sums(i: int, scale: int) -> tuple[int, ...]:
-        key = i, scale
-        if key not in sums:
-            sums[key] = scaled_partial_sums(pool[i], scale).sums
-        return sums[key]
-
+    partial_sums = cache(lambda i, scale: scaled_partial_sums(pool[i], scale).sums)
     for (i, a), (j, b) in product(enumerate(pool), repeat=2):
         verdict = compare(a, b)
         base = max(a.last, b.last)
@@ -295,7 +273,7 @@ def _check_meet_oracle_agreement(size: SizeMemo) -> str | None:
     for a, b in combinations_with_replacement(size.elements, 2):
         low, high = size.bounds(a, b)
         for s, t in ((a, b),) if a == b else ((a, b), (b, a)):
-            if meet(s, t) != low:
+            if size.meet(s, t) != low:
                 return f"meet({s}, {t})"
             if size.join(s, t) != high:
                 return f"join({s}, {t})"
@@ -304,7 +282,7 @@ def _check_meet_oracle_agreement(size: SizeMemo) -> str | None:
 
 def _check_meet_last_law(size: SizeMemo) -> str | None:
     for a, b in product(size.elements, repeat=2):
-        if meet(a, b).last != min(a.last, b.last):
+        if size.meet(a, b).last != min(a.last, b.last):
             return f"meet({a}, {b})"
     return None
 
@@ -312,11 +290,11 @@ def _check_meet_last_law(size: SizeMemo) -> str | None:
 def _check_meet_semilattice_laws(size: SizeMemo) -> str | None:
     pool = size.elements
     # one meet per ordered pair; the triple laws are index lookups
-    table = [[size.universe.index(meet(a, b)) for b in pool] for a in pool]
+    table = [[size.universe.index(size.meet(a, b)) for b in pool] for a in pool]
     for i, a in enumerate(pool):
         if table[i][i] != i:
             return f"not idempotent at {a}"
-    down, _ = size.order_masks()
+    down, _ = size.order_masks
     for (i, a), (j, b) in product(enumerate(pool), repeat=2):
         low = table[i][j]
         if low != table[j][i]:
@@ -343,9 +321,9 @@ def _check_meet_semilattice_laws(size: SizeMemo) -> str | None:
 
 def _check_join_absorption(size: SizeMemo) -> str | None:
     for a, b in product(size.elements, repeat=2):
-        if size.join(a, meet(a, b)) != a:
+        if size.join(a, size.meet(a, b)) != a:
             return f"join-absorb: {a}, {b}"
-        if meet(a, size.join(a, b)) != a:
+        if size.meet(a, size.join(a, b)) != a:
             return f"meet-absorb: {a}, {b}"
     return None
 

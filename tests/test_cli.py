@@ -292,12 +292,35 @@ class TestExitCodes:
             err = child.stderr.read()
             assert child.wait(timeout=60) == 1
         assert b"Traceback" not in err
+        assert err == b""
 
     def test_closed_pipe_is_one_without_traceback(self):
         self.read_one_line_then_close("imbalattice")
 
     def test_closed_pipe_under_the_cli_module(self):
         self.read_one_line_then_close("imbalattice.cli")
+
+    @staticmethod
+    def fails_to_write(*argv, stdout=subprocess.DEVNULL):
+        env = dict(os.environ, PYTHONPATH=str(Path(imbalattice.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "imbalattice", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert b"Traceback" not in done.stderr
+        assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+
+    def test_dot_into_a_directory_is_one_error_line(self, tmp_path):
+        self.fails_to_write("tree", "1,1", "--dot", str(tmp_path))
+
+    def test_dot_into_a_missing_directory_is_one_error_line(self, tmp_path):
+        self.fails_to_write("hasse", "3", "--dot", str(tmp_path / "missing" / "x.dot"))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_one_error_line(self):
+        with open("/dev/full", "wb") as full:
+            self.fails_to_write("enumerate", "5", stdout=full)
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
 """The law suite's runner: one memo per size, shared by the checks that ask
-for the same join or oracle bounds, and pinned output."""
+for the same meet, join or oracle bounds, and pinned output."""
 
 import hashlib
 from collections import Counter
@@ -42,6 +42,12 @@ def test_a_full_run_asks_each_join_and_bound_once(monkeypatch):
     assert (sum(highs.values()), len(highs)) == (208, 208)
 
 
+def test_a_full_run_asks_each_meet_once(monkeypatch):
+    meets = counting(monkeypatch, "meet")
+    assert all(r.passed for r in run_checks(8))
+    assert (sum(meets.values()), len(meets)) == (378, 378)
+
+
 def test_per_element_values_are_computed_once_per_size(monkeypatch):
     sums = counting(monkeypatch, "scaled_partial_sums")
     (report,) = run_checks(6, ["scale-independence"])
@@ -67,6 +73,22 @@ def test_a_wrong_join_gives_the_same_witness_in_a_full_run(monkeypatch):
     expected = {
         "meet-oracle-agreement": "join(1,3,3,4,4,4,4, 2,2,2,3,4,5,5)",
         "join-absorption": "meet-absorb: 1,3,3,4,4,4,4, 2,2,2,3,4,5,5",
+    }
+    assert failures(run_checks(8)) == expected
+    for name, witness in expected.items():
+        assert failures(run_checks(8, [name])) == {name: witness}
+
+
+def test_a_wrong_meet_gives_the_same_witness_in_a_full_run(monkeypatch):
+    original = imbalattice.verify.meet
+
+    def planted(s, t):
+        return s if (s, t) == PLANTED else original(s, t)
+
+    monkeypatch.setattr(imbalattice.verify, "meet", planted)
+    expected = {
+        "meet-oracle-agreement": "meet(1,3,3,4,4,4,4, 2,2,2,3,4,5,5)",
+        "meet-semilattice-laws": "not commutative: 1,3,3,4,4,4,4, 2,2,2,3,4,5,5",
     }
     assert failures(run_checks(8)) == expected
     for name, witness in expected.items():
