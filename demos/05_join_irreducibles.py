@@ -2,7 +2,7 @@
 """Join-irreducible sequences found three independent ways.
 
 An element is join-irreducible when it covers exactly one element.  The
-brute-force test counts lower covers; the balancing test compares the moves
+cover test counts lower covers; the balancing test compares the moves
 available at the sequence; the decomposition test only inspects the shape
 (near-constant head, strictly increasing middle, near-constant tail).
 """

@@ -1,8 +1,10 @@
 """Join-irreducibility of path-length sequences, three ways.
 
 An element of a finite lattice is join-irreducible when it covers exactly
-one element.  Besides the literal cover count (over the lower covers the
-lattice derives from balancing steps) this module implements two shortcut
+one element.  The lattice reads the lower covers off balancing steps, one
+per distinct leaf that the steps split, so an element is join-irreducible
+exactly when it has an excess index and all of its excess indices split
+one leaf.  Besides that cover count this module implements two shortcut
 characterizations:
 
 * by balancing moves: the step at the first excess index must dominate the
@@ -141,7 +143,10 @@ def decompose_segments(l: PathLengthSequence) -> SegmentDecomposition:
 def is_join_irreducible_by_covers(l: PathLengthSequence, universe: LatticeUniverse) -> bool:
     """Literal definition: exactly one lower cover.
 
-    ``l`` must belong to ``universe`` (``ElementNotInUniverse`` otherwise).
+    The lower covers come one per distinct split leaf (see
+    ``lattice._lower_covers``), so this holds exactly when ``l`` has an
+    excess index and all of its excess indices split one leaf.  ``l`` must
+    belong to ``universe`` (``ElementNotInUniverse`` otherwise).
     """
     universe.index(l)
     return len(_lower_covers(l)) == 1

@@ -35,7 +35,9 @@ below both arguments' last components, and the lower expansion otherwise;
 the last law (``last meet == min(last s, last t)``) proves that this is the
 order test the recursion asks for (see ``meet``).  A balancing move's
 excess index is likewise a local test on three neighbours and the first
-component.
+component, and so are the covers: an element covers one step target per
+distinct leaf that its moves split (see ``_lower_covers``), so the Hasse
+diagram needs no order comparison.
 
 Enumeration, meet and the balancing moves run on plain component tuples,
 which keep the invariants by construction; each value they return is built
@@ -60,7 +62,7 @@ from .errors import (
     NotAnExcessIndex,
     ResourceLimit,
 )
-from .sequences import PathLengthSequence, _leq, format_sequence, leq
+from .sequences import PathLengthSequence, format_sequence, leq
 from .transforms import _contract, _expand, _lower_index
 
 __all__ = [
@@ -122,14 +124,13 @@ class LatticeUniverse(Value):
     def __iter__(self) -> Iterator[PathLengthSequence]:
         return iter(self.elements)
 
-    def __contains__(self, l: PathLengthSequence) -> bool:
-        return l.components in self._positions
+    def __contains__(self, l: object) -> bool:
+        return isinstance(l, PathLengthSequence) and l.components in self._positions
 
     def index(self, l: PathLengthSequence) -> int:
-        try:
-            return self._positions[l.components]
-        except KeyError:
-            raise ElementNotInUniverse(f"{l} is not a length-{self.n} sequence") from None
+        if l not in self:
+            raise ElementNotInUniverse(f"{l} is not a length-{self.n} sequence")
+        return self._positions[l.components]
 
 
 class BalancingStep(Value):
@@ -333,16 +334,23 @@ def _excess(c: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(j for j in range(2, len(c)) if _is_excess(c, j))
 
 
+def _split_leaf(c: tuple[int, ...], j: int) -> int:
+    """The 0-based position of the leaf that the move at excess index ``j``
+    splits: the last position before ``j - 1`` with depth at most
+    ``c[j - 1] - 2``."""
+    return bisect_right(c, c[j - 1] - 2, 0, j - 1) - 1
+
+
 def _balance(c: tuple[int, ...], j: int) -> tuple[int, ...]:
     """The balancing move at excess index ``j`` (unchecked) on a tuple.
 
     Positions ``j - 1`` and ``j`` (0-based) hold the first two copies of
-    ``deep = c[j - 1]``; they merge into one ``deep - 1``.  The leaf at the
-    last index ``i`` with ``c[i] <= deep - 2`` splits into two of
-    ``c[i] + 1``.  Both replacements keep the tuple sorted.
+    ``deep = c[j - 1]``; they merge into one ``deep - 1``.  The leaf at
+    ``i = _split_leaf(c, j)`` splits into two of ``c[i] + 1``.  Both
+    replacements keep the tuple sorted.
     """
     deep = c[j - 1]
-    i = bisect_right(c, deep - 2, 0, j - 1) - 1
+    i = _split_leaf(c, j)
     split = c[i] + 1
     return c[:i] + (split, split) + c[i + 1 : j - 1] + (deep - 1,) + c[j + 1 :]
 
@@ -389,19 +397,44 @@ def minimal_balancing_relation(
 
 
 def _lower_covers(u: PathLengthSequence) -> list[PathLengthSequence]:
-    """The elements ``u`` covers: the maximal targets of its balancing steps.
+    """The elements ``u`` covers: one per distinct split leaf.
 
-    Every cover is a balancing step, and every step target lies below some
-    cover of ``u``, so the covers are exactly the maximal step targets.
-    Ordered by first excess index; empty for the bottom.
+    Taken in excess-index order, the split leaf ``i(j) = _split_leaf(c, j)``
+    never decreases: a larger ``j`` has a ``c[j - 1]`` at least as deep and
+    a wider prefix to search.  The covers are the targets of the steps
+    at the first excess index of each new split leaf, in that order; empty
+    for the bottom.  No order comparison is made.
+
+    Proof.  Every cover of ``u`` is a step target: the steps generate the
+    order, so a chain of steps runs from ``u`` down to any ``v < u``, and its
+    first target ``t`` has ``v <= t < u``, so ``t == v`` when ``u`` covers
+    ``v``.  Hence the covers are exactly the maximal step targets.  Write
+    ``D(j)`` for the partial sums of ``c`` minus those of the target at
+    ``j``.  It is nonzero exactly on the 0-based positions ``i(j)..j - 1``:
+    half the split leaf's weight at ``i(j)``, then ``c``'s own weight at
+    each later position.  A target lies below another exactly when its
+    ``D`` is componentwise at least the other's.
+
+    * ``j < k`` with ``i(j) == i(k)``: ``D(k)`` equals ``D(j)`` on
+      ``i(j)..j - 1`` and is positive on ``j..k - 1``, where ``D(j)`` is 0,
+      so the target at ``k`` lies strictly below the target at ``j``.
+    * ``j < k`` with ``i(j) < i(k)``: ``D(j)`` is positive at ``i(j)``, where
+      ``D(k)`` is 0, and ``D(k)`` is positive at ``k - 1``, where ``D(j)``
+      is 0, so the two targets are incomparable.
+
+    So within a run of one split leaf only the first target is maximal, and
+    the first targets of different runs are pairwise incomparable, hence
+    distinct and all maximal.  ``covering-within-balancing`` checks the rule
+    against the definition-level reduction of the oracle.
     """
     c = u.components
-    targets = list(dict.fromkeys(_balance(c, j) for j in _excess(c)))
-    return [
-        PathLengthSequence(t)
-        for t in targets
-        if not any(t != v and _leq(t, v) for v in targets)
-    ]
+    covers = []
+    split = None
+    for j in _excess(c):
+        if (i := _split_leaf(c, j)) != split:
+            covers.append(PathLengthSequence(_balance(c, j)))
+            split = i
+    return covers
 
 
 @lru_cache(maxsize=None)
@@ -417,8 +450,9 @@ def _cover_edges(n: int) -> tuple[tuple[int, int], ...]:
 def hasse(n: int, ceiling: int = DEFAULT_CEILING) -> LatticeUniverse:
     """The universe together with its covering edges (transitive reduction).
 
-    Covers come from balancing steps (see ``_lower_covers``): O(n**2) order
-    checks per element, so the cost is dominated by enumeration.  The
+    Covers come from balancing steps (see ``_lower_covers``): one step per
+    distinct split leaf and no order comparison, so the cost is O(n) per
+    element plus building the covers and looking up their indices.  The
     definition-level reduction lives in
     ``imbalattice.oracle.covering_pairs_by_definition`` as the independent
     check.

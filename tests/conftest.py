@@ -1,7 +1,9 @@
 import pytest
 
 from imbalattice import (
+    balancing_step,
     contraction,
+    excess_indices,
     leq_by_definition,
     lower_expansion,
     run_checks,
@@ -44,3 +46,21 @@ def meet_by_scanning():
     """Reference meet that scans the order at every level (session-scoped,
     so Hypothesis tests may use it)."""
     return _meet_by_scanning
+
+
+def _lower_covers_by_filter(l):
+    """The lower covers as the maximal targets of ``l``'s balancing steps:
+    every target that no other target lies strictly above by the
+    definition-level order, in excess-index order."""
+    targets = [balancing_step(l, j) for j in excess_indices(l)]
+    return [
+        t for t in targets
+        if not any(t != v and leq_by_definition(t, v) for v in targets)
+    ]
+
+
+@pytest.fixture(scope="session")
+def lower_covers_by_filter():
+    """Reference lower covers that scan the order over all step targets
+    (session-scoped, so Hypothesis tests may use it)."""
+    return _lower_covers_by_filter

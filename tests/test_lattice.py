@@ -28,7 +28,8 @@ from imbalattice import (
 )
 from imbalattice.errors import ElementNotInUniverse
 import imbalattice.lattice
-from imbalattice.lattice import _leaf_counts, _unrank
+import imbalattice.sequences
+from imbalattice.lattice import _leaf_counts, _lower_covers, _unrank
 import imbalattice.verify
 from imbalattice.verify import run_checks
 
@@ -49,6 +50,15 @@ def seq(*components):
     return validate(components)
 
 
+def forbid_order_scans(monkeypatch, what):
+    def no_scan(*args):
+        raise AssertionError(f"{what} compared partial sums")
+
+    monkeypatch.setattr(imbalattice.sequences, "_leq", no_scan)
+    # A comparison imported straight into the lattice module binds its own name.
+    monkeypatch.setattr(imbalattice.lattice, "_leq", no_scan, raising=False)
+
+
 class TestEnumerate:
     def test_base_case(self):
         assert [el.components for el in enumerate_universe(1)] == [(0,)]
@@ -58,6 +68,14 @@ class TestEnumerate:
 
     def test_seven_lists_all_nine(self):
         assert [el.components for el in enumerate_universe(7)] == NINE_OF_SEVEN
+
+    def test_membership_is_typed(self):
+        universe = enumerate_universe(3)
+        assert seq(1, 2, 2) in universe and universe.index(seq(1, 2, 2)) == 0
+        for foreign in ((1, 2, 2), "x", None, seq(1, 1)):
+            assert foreign not in universe
+            with pytest.raises(ElementNotInUniverse):
+                universe.index(foreign)
 
     def test_counts(self):
         assert [len(enumerate_universe(n)) for n in range(1, 11)] == [
@@ -206,9 +224,6 @@ class TestMeet:
                     assert meet(a, b) == meet_by_scanning(a, b), (a, b)
 
     def test_scans_no_order(self, monkeypatch):
-        def no_scan(*args):
-            raise AssertionError("meet compared partial sums")
-
         draw = random.Random(300)
         count = count_universe(300, 300)
         pairs = [(top(300), bottom(300))] + [
@@ -216,7 +231,7 @@ class TestMeet:
              validate(_unrank(300, draw.randrange(count))))
             for _ in range(5)
         ]
-        monkeypatch.setattr(imbalattice.lattice, "_leq", no_scan)
+        forbid_order_scans(monkeypatch, "meet")
         lows = [meet(s, t) for s, t in pairs]
         monkeypatch.undo()
         for (s, t), low in zip(pairs, lows):
@@ -345,6 +360,22 @@ class TestCovering:
             lower_cover_counts[universe.elements[b]] += 1
         doubled = [el for el, c in lower_cover_counts.items() if c == 2]
         assert [el.components for el in doubled] == [(1, 3, 3, 3, 4, 5, 5)]
+
+    def test_matches_the_filter_over_step_targets(self, lower_covers_by_filter):
+        for n in range(1, 15):
+            for l in enumerate_universe(n):
+                assert _lower_covers(l) == lower_covers_by_filter(l), l
+
+    def test_compares_no_order(self, monkeypatch):
+        draw = random.Random(500)
+        count = count_universe(500, 500)
+        pool = [top(500)] + [validate(_unrank(500, draw.randrange(count))) for _ in range(3)]
+        forbid_order_scans(monkeypatch, "lower covers")
+        covers = [_lower_covers(l) for l in pool]
+        monkeypatch.undo()
+        for l, lows in zip(pool, covers):
+            assert lows
+            assert all(low != l and leq_by_definition(low, l) for low in lows)
 
     def test_cover_edges_match_the_definition(self, holds):
         # Covers come from balancing steps; the oracle reduces the

@@ -31,7 +31,7 @@ from imbalattice import (
     upper_expansion,
     validate,
 )
-from imbalattice.lattice import _unrank
+from imbalattice.lattice import _lower_covers, _unrank
 
 depth_lists = st.lists(st.integers(min_value=-2, max_value=10), min_size=1, max_size=9)
 
@@ -195,3 +195,21 @@ def test_canonical_code_realizes_the_sequence(l):
     assert tuple(len(w) for w in code) == l.components
     assert all(a == b or not b.startswith(a) for a in code for b in code)
     assert sequence_from_tree(tree_from_sequence(l)) == l
+
+
+def uniform_element(n):
+    """One length-n element unranked from a seeded uniform index.
+
+    A drawn index leans to the small ranks near the top, which have few
+    excess indices; a seed spreads the draws over the whole universe.
+    """
+    count = count_universe(n, n)
+    return st.integers(0, 2**32 - 1).map(
+        lambda seed: validate(_unrank(n, random.Random(seed).randrange(count)))
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(64, 500).flatmap(uniform_element))
+def test_lower_covers_match_the_filter_over_step_targets(lower_covers_by_filter, l):
+    assert _lower_covers(l) == lower_covers_by_filter(l)
