@@ -4,6 +4,22 @@ from __future__ import annotations
 
 from functools import cached_property
 
+__all__ = [
+    "ElementNotInUniverse",
+    "ImbalatticeError",
+    "KraftSumNotOne",
+    "LengthMismatch",
+    "MalformedTree",
+    "NegativeDepth",
+    "NotALattice",
+    "NotAnExcessIndex",
+    "NotSorted",
+    "PositionOutOfRange",
+    "ResourceLimit",
+    "ScaleTooSmall",
+    "SequenceError",
+    "SingletonSequence",
+]
 
 SHOWN_COMPONENTS = 8
 

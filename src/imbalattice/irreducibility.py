@@ -149,7 +149,7 @@ def is_join_irreducible_by_covers(l: PathLengthSequence, universe: LatticeUniver
     belong to ``universe`` (``ElementNotInUniverse`` otherwise).
     """
     universe.index(l)
-    return len(_lower_covers(l)) == 1
+    return len(_lower_covers(l.components)) == 1
 
 
 def is_join_irreducible_by_balancing(l: PathLengthSequence) -> bool:

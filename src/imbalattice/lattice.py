@@ -33,15 +33,20 @@ The meet recursion compares no partial sums.  Each level keeps the upper
 expansion of the contractions' meet exactly when its last component is
 below both arguments' last components, and the lower expansion otherwise;
 the last law (``last meet == min(last s, last t)``) proves that this is the
-order test the recursion asks for (see ``meet``).  A balancing move's
-excess index is likewise a local test on three neighbours and the first
-component, and so are the covers: an element covers one step target per
-distinct leaf that its moves split (see ``_lower_covers``), so the Hasse
-diagram needs no order comparison.
+order test the recursion asks for (see ``meet``).  So the recursion reads
+only the chain of ``min(last a, last b)`` over the contraction levels and
+keeps nothing else of the arguments: ``meet`` runs in O(n) memory.
 
-Enumeration, meet and the balancing moves run on plain component tuples,
-which keep the invariants by construction; each value they return is built
-once through the validating ``PathLengthSequence`` constructor.
+A balancing move's excess index is likewise a local test on three
+neighbours and the first component, and so are the covers: an element
+covers one step target per distinct leaf that its moves split (see
+``_lower_covers``), so the Hasse diagram needs no order comparison.
+
+Enumeration, meet, the balancing moves and the covers run on plain
+component tuples, which keep the invariants by construction; each
+sequence they return is built once through the validating
+``PathLengthSequence`` constructor, and the Hasse diagram, which returns
+cover indices, builds no sequence for its covers.
 
 Universe construction and the unranking table are memoized (a count keeps
 only the row it is filling); all returned values are immutable, so results
@@ -261,17 +266,19 @@ def _unrank(n: int, r: int) -> tuple[int, ...]:
 def _meet(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     """Meet of two equal-length component tuples, by contraction recursion.
 
-    The recursion runs as a loop: both contraction chains are built down to
-    length 1 and then walked back up, so any length works.  Each level is
-    decided by last components alone (see ``meet``).
+    The recursion runs as a loop, so any length works.  Each level is
+    decided by ``min(last a, last b)`` alone (see ``meet``), so the way down
+    contracts both arguments and records only that chain of last
+    components, dropping each pair of tuples as it goes; the way back up
+    rebuilds the result from ``(0)``.  Memory stays O(n).
     """
-    chain = [(s, t)]
-    while len(chain[-1][0]) > 1:
-        a, b = chain[-1]
-        chain.append((_contract(a), _contract(b)))
-    result = chain.pop()[0]
-    for a, b in reversed(chain):
-        if result[-1] < min(a[-1], b[-1]):
+    lasts = []
+    while len(s) > 1:
+        lasts.append(min(s[-1], t[-1]))
+        s, t = _contract(s), _contract(t)
+    result = s
+    for last in reversed(lasts):
+        if result[-1] < last:
             result = _expand(result, len(result) - 1)
         else:
             result = _expand(result, _lower_index(result))
@@ -385,19 +392,21 @@ def minimal_balancing_relation(
 
     The reflexive-transitive closure of these steps is exactly the balance
     order, and the covering relation is contained (generally properly) in
-    the step set.
+    the step set.  Steps come sorted by ``(source.components,
+    excess_index)``: the universe is walked in lexicographic order and each
+    source's excess indices in ascending order.
     """
     steps = []
     for l in enumerate_universe(n, ceiling):
         c = l.components
         for j in _excess(c):
             steps.append(BalancingStep(l, j, PathLengthSequence(_balance(c, j))))
-    steps.sort(key=lambda s: (s.source.components, s.excess_index))
     return tuple(steps)
 
 
-def _lower_covers(u: PathLengthSequence) -> list[PathLengthSequence]:
-    """The elements ``u`` covers: one per distinct split leaf.
+def _lower_covers(c: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Component tuples of the elements ``c`` covers: one per distinct
+    split leaf.
 
     Taken in excess-index order, the split leaf ``i(j) = _split_leaf(c, j)``
     never decreases: a larger ``j`` has a ``c[j - 1]`` at least as deep and
@@ -405,9 +414,9 @@ def _lower_covers(u: PathLengthSequence) -> list[PathLengthSequence]:
     at the first excess index of each new split leaf, in that order; empty
     for the bottom.  No order comparison is made.
 
-    Proof.  Every cover of ``u`` is a step target: the steps generate the
-    order, so a chain of steps runs from ``u`` down to any ``v < u``, and its
-    first target ``t`` has ``v <= t < u``, so ``t == v`` when ``u`` covers
+    Proof.  Every cover of ``c`` is a step target: the steps generate the
+    order, so a chain of steps runs from ``c`` down to any ``v < c``, and its
+    first target ``t`` has ``v <= t < c``, so ``t == v`` when ``c`` covers
     ``v``.  Hence the covers are exactly the maximal step targets.  Write
     ``D(j)`` for the partial sums of ``c`` minus those of the target at
     ``j``.  It is nonzero exactly on the 0-based positions ``i(j)..j - 1``:
@@ -427,12 +436,11 @@ def _lower_covers(u: PathLengthSequence) -> list[PathLengthSequence]:
     distinct and all maximal.  ``covering-within-balancing`` checks the rule
     against the definition-level reduction of the oracle.
     """
-    c = u.components
     covers = []
     split = None
     for j in _excess(c):
         if (i := _split_leaf(c, j)) != split:
-            covers.append(PathLengthSequence(_balance(c, j)))
+            covers.append(_balance(c, j))
             split = i
     return covers
 
@@ -440,10 +448,11 @@ def _lower_covers(u: PathLengthSequence) -> list[PathLengthSequence]:
 @lru_cache(maxsize=None)
 def _cover_edges(n: int) -> tuple[tuple[int, int], ...]:
     universe = _universe(n)
+    positions = universe._positions
     return tuple(sorted(
-        (universe.index(low), b)
+        (positions[low], b)
         for b, u in enumerate(universe.elements)
-        for low in _lower_covers(u)
+        for low in _lower_covers(u.components)
     ))
 
 
@@ -452,8 +461,8 @@ def hasse(n: int, ceiling: int = DEFAULT_CEILING) -> LatticeUniverse:
 
     Covers come from balancing steps (see ``_lower_covers``): one step per
     distinct split leaf and no order comparison, so the cost is O(n) per
-    element plus building the covers and looking up their indices.  The
-    definition-level reduction lives in
+    element plus building each cover's tuple and looking up its index; no
+    cover is built as a sequence.  The definition-level reduction lives in
     ``imbalattice.oracle.covering_pairs_by_definition`` as the independent
     check.
     """

@@ -377,7 +377,8 @@ def _check_unique_cover_first_step(size: SizeMemo) -> str | None:
     for l in size.elements:
         if not is_join_irreducible_by_covers(l, size.universe):
             continue
-        if _lower_covers(l) != [balancing_step(l, excess_indices(l)[0])]:
+        first = balancing_step(l, excess_indices(l)[0])
+        if _lower_covers(l.components) != [first.components]:
             return f"at {l}"
     return None
 

@@ -1,11 +1,13 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from imbalattice import (
     LengthMismatch,
     NotAnExcessIndex,
+    PathLengthSequence,
     ResourceLimit,
     balancing_step,
     bottom,
@@ -18,6 +20,8 @@ from imbalattice import (
     hasse,
     hasse_dot,
     hasse_json,
+    is_join_irreducible_by_balancing,
+    is_join_irreducible_by_covers,
     join,
     leq,
     leq_by_definition,
@@ -29,7 +33,7 @@ from imbalattice import (
 from imbalattice.errors import ElementNotInUniverse
 import imbalattice.lattice
 import imbalattice.sequences
-from imbalattice.lattice import _leaf_counts, _lower_covers, _unrank
+from imbalattice.lattice import _cover_edges, _leaf_counts, _lower_covers, _unrank
 import imbalattice.verify
 from imbalattice.verify import run_checks
 
@@ -244,6 +248,19 @@ class TestMeet:
         assert low.last == min(s.last, t.last)
         assert leq_by_definition(low, s) and leq_by_definition(low, t)
 
+    def test_deep_arguments_take_linear_memory(self):
+        # The two contraction chains hold about n^2 components between them;
+        # meet keeps only their last components.
+        s, t = top(3000), bottom(3000)
+        tracemalloc.start()
+        try:
+            low = meet(s, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+        assert low.last == min(s.last, t.last)
+
 
 class TestJoin:
     def test_idempotent(self):
@@ -331,6 +348,11 @@ class TestMinimalBalancingRelation:
         for n in (1, 2, 3):
             assert minimal_balancing_relation(n) == ()
 
+    def test_in_source_then_excess_index_order(self):
+        for n in range(1, 13):
+            keys = [(s.source.components, s.excess_index) for s in minimal_balancing_relation(n)]
+            assert keys == sorted(set(keys)), n
+
     def test_contains_non_cover_step_at_seven(self):
         steps = {(s.target.components, s.source.components) for s in minimal_balancing_relation(7)}
         witness = ((1, 3, 3, 4, 4, 4, 4), (1, 2, 4, 4, 4, 5, 5))
@@ -364,18 +386,35 @@ class TestCovering:
     def test_matches_the_filter_over_step_targets(self, lower_covers_by_filter):
         for n in range(1, 15):
             for l in enumerate_universe(n):
-                assert _lower_covers(l) == lower_covers_by_filter(l), l
+                assert _lower_covers(l.components) == [
+                    low.components for low in lower_covers_by_filter(l)
+                ], l
 
     def test_compares_no_order(self, monkeypatch):
         draw = random.Random(500)
         count = count_universe(500, 500)
         pool = [top(500)] + [validate(_unrank(500, draw.randrange(count))) for _ in range(3)]
         forbid_order_scans(monkeypatch, "lower covers")
-        covers = [_lower_covers(l) for l in pool]
+        covers = [_lower_covers(l.components) for l in pool]
         monkeypatch.undo()
         for l, lows in zip(pool, covers):
             assert lows
-            assert all(low != l and leq_by_definition(low, l) for low in lows)
+            assert all(
+                low != l.components and leq_by_definition(validate(low), l) for low in lows
+            )
+
+    def test_builds_no_sequence(self, monkeypatch):
+        universe = enumerate_universe(12)
+
+        def no_build(self):
+            raise AssertionError("a cover was built as a sequence")
+
+        monkeypatch.setattr(PathLengthSequence, "__post_init__", no_build)
+        edges = _cover_edges.__wrapped__(12)
+        by_covers = [is_join_irreducible_by_covers(l, universe) for l in universe]
+        monkeypatch.undo()
+        assert edges == hasse(12).cover_edges
+        assert by_covers == [is_join_irreducible_by_balancing(l) for l in universe]
 
     def test_cover_edges_match_the_definition(self, holds):
         # Covers come from balancing steps; the oracle reduces the
