@@ -48,14 +48,13 @@ sequence they return is built once through the validating
 ``PathLengthSequence`` constructor, and the Hasse diagram, which returns
 cover indices, builds no sequence for its covers.
 
-Universe construction and the unranking table are memoized (a count keeps
-only the row it is filling); all returned values are immutable, so results
-may be shared freely across threads.
+Only universe construction is memoized; the unranking table, a count's
+row and the cover edges live for one call.  All returned values are
+immutable, so results may be shared freely across threads.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator
@@ -209,18 +208,11 @@ def _leaf_row(above: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row)
 
 
-# Rows depend only on ``k``, so every ``n`` that ``_unrank`` walks shares
-# one growing table.
-_leaf_rows: list[tuple[int, ...]] = [(1,)]
-_leaf_rows_lock = threading.Lock()
-
-
 def _leaf_counts(n: int) -> list[tuple[int, ...]]:
-    """The leaf-count table, grown to at least rows ``0..n`` and kept."""
-    with _leaf_rows_lock:
-        rows = _leaf_rows
-        for _ in range(len(rows), n + 1):
-            rows.append(_leaf_row(rows[-1]))
+    """Rows ``0..n`` of the leaf-count table, built afresh on each call."""
+    rows = [(1,)]
+    for _ in range(n):
+        rows.append(_leaf_row(rows[-1]))
     return rows
 
 
@@ -445,7 +437,6 @@ def _lower_covers(c: tuple[int, ...]) -> list[tuple[int, ...]]:
     return covers
 
 
-@lru_cache(maxsize=None)
 def _cover_edges(n: int) -> tuple[tuple[int, int], ...]:
     universe = _universe(n)
     positions = universe._positions

@@ -4,9 +4,11 @@ Kraft's theorem pairs every path-length sequence with a full binary tree
 whose leaf depths, read left to right, are the sequence.  The canonical
 realization used here assigns consecutive binary codewords in depth order
 (the classic canonical prefix code), which makes the tree unique: shallow
-leaves sit leftmost.  ``tree_from_sequence`` builds that tree in one
-left-to-right pass over the depths with a stack of open internal nodes, so
-it needs neither the codeword strings nor recursion; the walkers
+leaves sit leftmost.  Its codewords are the partial sums of the Kraft
+weights that the balance order compares, written in binary.
+``tree_from_sequence`` builds that tree in one left-to-right pass over the
+depths with a stack of open internal nodes, so it needs neither the
+codeword strings nor recursion; the walkers
 (``leaf_codewords``, ``tree_ascii``, ``tree_dot``) share one preorder walk
 on an explicit stack, so a tree of any depth can be built, read back and
 rendered.
@@ -19,12 +21,13 @@ a more balanced tree).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import index as _as_int
 from typing import Iterator
 
 from ._value import Value
 from .errors import MalformedTree
-from .sequences import PathLengthSequence
+from .sequences import PathLengthSequence, _weights
 
 __all__ = [
     "CodeTree",
@@ -67,21 +70,18 @@ class CodeTree(Value):
 def canonical_code(l: PathLengthSequence) -> tuple[str, ...]:
     """The canonical prefix code with codeword lengths exactly ``l``.
 
-    The first codeword is ``l_1`` zeros; each next codeword is the previous
-    one incremented as a binary number and shifted to the next length.
-    Kraft equality guarantees the result is a complete prefix-free set.
+    Codeword ``i`` is the sum of the weights ``2**(last l - l_j)`` over
+    ``j < i``, shifted down to ``l_i`` bits.  The shift drops no bit, since
+    every earlier weight is a multiple of ``2**(last l - l_i)``; and the sum
+    stays below ``2**last l`` by Kraft equality, so each codeword fits its
+    length and the result is a complete prefix-free set.
     """
-    words: list[str] = []
-    value = 0
-    previous = l.first
-    for length in l:
-        if words:
-            value = (value + 1) << (length - previous)
-        word = format(value, "b").zfill(length) if length else ""
-        assert len(word) == length  # cannot overflow: Kraft equality holds
-        words.append(word)
-        previous = length
-    return tuple(words)
+    c = l.components
+    scale = l.last
+    return tuple(
+        format(start >> (scale - length), "b").zfill(length) if length else ""
+        for start, length in zip(accumulate(_weights(c, scale), initial=0), c)
+    )
 
 
 def tree_from_sequence(l: PathLengthSequence) -> CodeTree:

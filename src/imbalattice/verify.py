@@ -59,7 +59,7 @@ from .oracle import (
     meet_bruteforce,
 )
 from .sequences import (
-    OrderVerdict,
+    _VERDICTS,
     compare,
     leq,
     scaled_partial_sums,
@@ -76,15 +76,6 @@ from .trees import (
 )
 
 __all__ = ["CHECKS", "run_checks"]
-
-# (first sums at most second's, second's at most first's) -> verdict
-_VERDICTS = {
-    (True, True): OrderVerdict.EQUAL,
-    (True, False): OrderVerdict.MORE_BALANCED,
-    (False, True): OrderVerdict.LESS_BALANCED,
-    (False, False): OrderVerdict.INCOMPARABLE,
-}
-
 
 class SizeMemo:
     """One size of the law suite: its universe and memos of the calls that
@@ -236,9 +227,9 @@ def _check_enumeration_oracle(size: SizeMemo) -> str | None:
         return f"n={n} differs at {extra[:3]}"
     # The lengths also catch duplicates, which the sets hide.
     count = count_universe(n, n)
-    for size in (len(slow), len(fast)):
-        if count != size:
-            return f"n={n} count {count} but {size} elements"
+    for length in (len(slow), len(fast)):
+        if count != length:
+            return f"n={n} count {count} but {length} elements"
     return None
 
 

@@ -130,9 +130,19 @@ class TestCount:
         ]
 
     def test_keeps_no_table(self):
-        kept = len(imbalattice.lattice._leaf_rows)
+        def mutable(value):
+            return isinstance(value, (list, dict, set, bytearray))
+
+        module = vars(imbalattice.lattice)
+        before = {
+            name: (value, value.copy() if mutable(value) else value)
+            for name, value in module.items()
+        }
         count_universe(1000, 1000)
-        assert len(imbalattice.lattice._leaf_rows) == kept
+        _unrank(300, 0)
+        assert module.keys() == before.keys()
+        for name, (value, snapshot) in before.items():
+            assert module[name] is value and module[name] == snapshot, name
 
     def test_table_sums_over_the_leaves_at_each_depth(self):
         # f(k, m) = [k == m] + sum(f(k - j, 2(m - j)) for j < m): j of the m
@@ -287,6 +297,29 @@ class TestJoin:
     def test_absorption(self, holds):
         holds(8, "join-absorption")
 
+    def test_lexicographic_order_extends_the_balance_order(self):
+        # If x <= y and x != y, the first differing partial sum is x's
+        # smaller one, so at the first differing index x_i > y_i.
+        for n in range(1, 13):
+            pool = enumerate_universe(n).elements
+            for a in pool:
+                for b in pool:
+                    if leq(a, b):
+                        assert a.components >= b.components, (a, b)
+
+    def test_is_the_lexicographically_largest_upper_bound(self):
+        # The join lies below every upper bound, so by the test above it is
+        # the largest of them lexicographically.
+        for n in range(1, 10):
+            pool = enumerate_universe(n).elements
+            for s in pool:
+                for t in pool:
+                    uppers = [
+                        u for u in pool
+                        if leq_by_definition(s, u) and leq_by_definition(t, u)
+                    ]
+                    assert join(s, t).components == max(u.components for u in uppers)
+
 
 class TestExcessIndices:
     def test_examples(self):
@@ -410,7 +443,7 @@ class TestCovering:
             raise AssertionError("a cover was built as a sequence")
 
         monkeypatch.setattr(PathLengthSequence, "__post_init__", no_build)
-        edges = _cover_edges.__wrapped__(12)
+        edges = _cover_edges(12)
         by_covers = [is_join_irreducible_by_covers(l, universe) for l in universe]
         monkeypatch.undo()
         assert edges == hasse(12).cover_edges

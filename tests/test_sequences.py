@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import imbalattice.sequences
+import imbalattice.trees
 from imbalattice import (
     KraftSumNotOne,
     LengthMismatch,
@@ -10,6 +12,7 @@ from imbalattice import (
     OrderVerdict,
     ScaleTooSmall,
     SequenceError,
+    canonical_code,
     compare,
     enumerate_universe,
     format_sequence,
@@ -202,6 +205,54 @@ class TestCompare:
                     base = max(a.last, b.last)
                     for extra in (1, 3, 7):
                         assert compare(a, b, scale=base + extra) == compare(a, b)
+
+    def test_scale_too_small_names_the_first_offending_argument(self):
+        deep, shallow = seq(1, 2, 3, 4, 4), seq(2, 2, 2, 3, 3)
+        for l, h, scale, last in [
+            (deep, shallow, 3, 4),
+            (shallow, deep, 3, 4),
+            (deep, shallow, 2, 4),
+            (shallow, deep, 2, 3),
+        ]:
+            message = f"^scale {scale} is below last component {last}$"
+            with pytest.raises(ScaleTooSmall, match=message):
+                compare(l, h, scale=scale)
+
+
+class TestOneHomeForTheWeights:
+    def test_only_the_order_test_adds_weights_inline(self, monkeypatch):
+        pool = [l for n in range(1, 8) for l in enumerate_universe(n)]
+        l = seq(1, 2, 3, 4, 4)
+
+        def answers():
+            return [
+                (
+                    leq(a, b),
+                    compare(a, b),
+                    compare(a, b, max(a.last, b.last) + 2),
+                    leq_by_definition(a, b),
+                )
+                for a in pool
+                for b in pool
+                if len(a) == len(b)
+            ]
+
+        expected = answers()
+
+        def no_weights(*args):
+            raise AssertionError("weights drawn")
+
+        monkeypatch.setattr(imbalattice.sequences, "_weights", no_weights)
+        monkeypatch.setattr(imbalattice.trees, "_weights", no_weights)
+        for call in (
+            lambda: validate((1, 2, 2)),
+            lambda: scaled_partial_sums(l),
+            lambda: scaled_partial_sums(l, 6),
+            lambda: canonical_code(l),
+        ):
+            with pytest.raises(AssertionError, match="weights drawn"):
+                call()
+        assert answers() == expected
 
 
 class TestOrderLaws:

@@ -70,7 +70,9 @@ class TestCodeTree:
 
     def test_deep_caterpillar_round_trips(self):
         l = top(5000)
-        assert sequence_from_tree(tree_from_sequence(l)) == l
+        tree = tree_from_sequence(l)
+        assert sequence_from_tree(tree) == l
+        assert leaf_codewords(tree) == canonical_code(l)
 
     def test_one_child_is_malformed(self):
         with pytest.raises(MalformedTree):
