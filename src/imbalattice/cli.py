@@ -8,6 +8,15 @@ identical bytes.
 
 Exit codes: 0 on success, 1 for invalid sequences, failed verification
 or a failed write, 2 for usage and parse errors (argparse's convention).
+
+What runs when: the commands call the library through its modules
+(``lattice.meet``, ``verify.run_checks``), and the package runs a module
+on its first use, so a call runs only the modules it reaches.  Building
+the parser reads ``lattice.DEFAULT_CEILING``, which runs ``errors``,
+``sequences``, ``transforms`` and ``lattice``; ``tree`` and ``code`` add
+``trees``, ``irreducibles`` adds ``irreducibility``, and only ``verify``
+runs ``oracle`` and ``verify`` (``--property`` reads the check names when
+argparse checks a value or prints them).
 """
 
 from __future__ import annotations
@@ -17,34 +26,14 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ImbalatticeError
-from .irreducibility import (
-    is_join_irreducible_by_balancing,
-    is_join_irreducible_by_covers,
-    is_join_irreducible_by_decomposition,
-)
-from .lattice import (
-    DEFAULT_CEILING,
-    balancing_step,
-    count_universe,
-    enumerate_universe,
-    excess_indices,
-    hasse,
-    hasse_dot,
-    hasse_json,
-    join,
-    meet,
-)
-from .sequences import compare, format_sequence, parse_components, validate
-from .trees import canonical_code, tree_ascii, tree_dot, tree_from_sequence
-from .verify import CHECKS, run_checks
+from . import errors, irreducibility, lattice, sequences, trees, verify
 
 __all__ = ["main", "run"]
 
 
 def _components(text: str) -> tuple[int, ...]:
     try:
-        return parse_components(text)
+        return sequences.parse_components(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -61,9 +50,9 @@ def _positive(text: str) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.count:
-        print(count_universe(args.n, args.ceiling))
+        print(lattice.count_universe(args.n, args.ceiling))
         return 0
-    universe = enumerate_universe(args.n, args.ceiling)
+    universe = lattice.enumerate_universe(args.n, args.ceiling)
     if args.format == "json":
         import json
 
@@ -71,40 +60,44 @@ def _cmd_enumerate(args) -> int:
         print(json.dumps(payload, separators=(", ", ": ")))
     else:
         for el in universe:
-            print(format_sequence(el))
+            print(sequences.format_sequence(el))
     return 0
 
 
+def _pair(args) -> tuple:
+    return sequences.validate(args.left), sequences.validate(args.right)
+
+
 def _cmd_compare(args) -> int:
-    print(compare(validate(args.left), validate(args.right)).value)
+    print(sequences.compare(*_pair(args)).value)
     return 0
 
 
 def _cmd_meet(args) -> int:
-    print(format_sequence(meet(validate(args.left), validate(args.right))))
+    print(sequences.format_sequence(lattice.meet(*_pair(args))))
     return 0
 
 
 def _cmd_join(args) -> int:
-    print(format_sequence(join(validate(args.left), validate(args.right), args.ceiling)))
+    print(sequences.format_sequence(lattice.join(*_pair(args), args.ceiling)))
     return 0
 
 
 def _cmd_hasse(args) -> int:
-    universe = hasse(args.n, args.ceiling)
+    universe = lattice.hasse(args.n, args.ceiling)
     if args.dot:
-        Path(args.dot).write_text(hasse_dot(universe))
+        Path(args.dot).write_text(lattice.hasse_dot(universe))
     if args.json or not args.dot:
-        print(hasse_json(universe))
+        print(lattice.hasse_json(universe))
     return 0
 
 
 def _cmd_irreducibles(args) -> int:
-    universe = enumerate_universe(args.n, args.ceiling)
+    universe = lattice.enumerate_universe(args.n, args.ceiling)
     tests = {
-        "covers": lambda el: is_join_irreducible_by_covers(el, universe),
-        "balancing": is_join_irreducible_by_balancing,
-        "decomposition": is_join_irreducible_by_decomposition,
+        "covers": lambda el: irreducibility.is_join_irreducible_by_covers(el, universe),
+        "balancing": irreducibility.is_join_irreducible_by_balancing,
+        "decomposition": irreducibility.is_join_irreducible_by_decomposition,
     }
     if args.method != "all":
         tests = {args.method: tests[args.method]}
@@ -113,44 +106,56 @@ def _cmd_irreducibles(args) -> int:
         votes = {name: test(el) for name, test in tests.items()}
         if len(set(votes.values())) != 1:
             detail = ", ".join(f"{k}={v}" for k, v in votes.items())
-            print(f"disagreement at {format_sequence(el)}: {detail}", file=sys.stderr)
+            print(f"disagreement at {sequences.format_sequence(el)}: {detail}", file=sys.stderr)
             return 1
         if all(votes.values()):
             irreducible.append(el)
     for el in irreducible:
-        print(format_sequence(el))
+        print(sequences.format_sequence(el))
     return 0
 
 
 def _cmd_balance(args) -> int:
-    l = validate(args.sequence)
+    l = sequences.validate(args.sequence)
     if args.at is not None:
-        print(format_sequence(balancing_step(l, args.at)))
+        print(sequences.format_sequence(lattice.balancing_step(l, args.at)))
     else:
-        for j in excess_indices(l):
-            print(f"{j} {format_sequence(balancing_step(l, j))}")
+        for j in lattice.excess_indices(l):
+            print(f"{j} {sequences.format_sequence(lattice.balancing_step(l, j))}")
     return 0
 
 
 def _cmd_tree(args) -> int:
-    tree = tree_from_sequence(validate(args.sequence))
+    tree = trees.tree_from_sequence(sequences.validate(args.sequence))
     if args.dot:
-        Path(args.dot).write_text(tree_dot(tree))
-    print(tree_ascii(tree), end="")
+        Path(args.dot).write_text(trees.tree_dot(tree))
+    print(trees.tree_ascii(tree), end="")
     return 0
 
 
 def _cmd_code(args) -> int:
-    for word in canonical_code(validate(args.sequence)):
+    for word in trees.canonical_code(sequences.validate(args.sequence)):
         print(word)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    reports = run_checks(args.n, names=args.properties or None, ceiling=args.ceiling)
+    reports = verify.run_checks(args.n, names=args.properties or None, ceiling=args.ceiling)
     for report in reports:
         print(report.to_json() if args.format == "json" else str(report))
     return 0 if all(r.passed for r in reports) else 1
+
+
+class _CheckNames:
+    """The names of ``verify.CHECKS`` in sorted order, read only when
+    argparse checks a ``--property`` value or prints them, so building the
+    parser runs no ``verify``."""
+
+    def __contains__(self, name) -> bool:
+        return name in verify.CHECKS
+
+    def __iter__(self):
+        return iter(sorted(verify.CHECKS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         return cmd
 
     def add_ceiling(cmd):
-        cmd.add_argument("--ceiling", type=_positive, default=DEFAULT_CEILING,
+        cmd.add_argument("--ceiling", type=_positive, default=lattice.DEFAULT_CEILING,
                          help="enumeration size ceiling (default %(default)s)")
 
     cmd = add("enumerate", _cmd_enumerate, "list every sequence of a given length")
@@ -218,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = add("verify", _cmd_verify, "run the law suite up to a given length")
     cmd.add_argument("n", type=_positive)
     cmd.add_argument("--property", dest="properties", action="append",
-                     choices=sorted(CHECKS), metavar="NAME",
+                     choices=_CheckNames(), metavar="NAME",
                      help="run only the named checks (repeatable); "
-                          "one of: " + ", ".join(sorted(CHECKS)))
+                          "one of: %(choices)s")
     cmd.add_argument("--format", choices=("text", "json"), default="text")
     add_ceiling(cmd)
 
@@ -231,7 +236,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ImbalatticeError as exc:
+    except errors.ImbalatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

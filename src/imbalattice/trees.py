@@ -21,6 +21,7 @@ a more balanced tree).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate
 from operator import index as _as_int
 from typing import Iterator
@@ -139,18 +140,24 @@ def nodes_within_depth(l: PathLengthSequence, d: int) -> int:
 
     Counted level by level without materializing the tree: the root is one
     node, and each level holds twice the internal nodes of the level above.
+    The components are sorted, so each level's leaves are one run, which
+    ``bisect_right`` finds from where the run above ended: O(depth * log n)
+    in all.
     More balanced sequences never have fewer nodes within any depth budget,
     which is the monotone parameter behind the irreducibility shape test.
     """
     d = _as_int(d)
     if d < 0:
         raise ValueError(f"depth budget must be nonnegative, got {d}")
+    c = l.components
     total = 0
     width = 1
+    above = 0
     for level in range(min(d, l.last) + 1):
         total += width
-        leaves_here = sum(1 for c in l if c == level)
-        width = 2 * (width - leaves_here)
+        through = bisect_right(c, level, above)
+        width = 2 * (width - (through - above))
+        above = through
     return total
 
 

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import io
 import json
@@ -146,7 +147,7 @@ class TestOutputs:
         def refuse(el, universe):
             raise AssertionError("the covers test ran for --method decomposition")
 
-        monkeypatch.setattr(imbalattice.cli, "is_join_irreducible_by_covers", refuse)
+        monkeypatch.setattr(imbalattice.irreducibility, "is_join_irreducible_by_covers", refuse)
         assert run(capsys, "irreducibles", "9", "--method", "decomposition") == expected
         assert expected[0] == 0
 
@@ -162,6 +163,31 @@ class TestVerifyCommand:
     def test_single_property(self, capsys):
         code, out, _ = run(capsys, "verify", "6", "--property", "closure-equals-order")
         assert (code, out) == (0, "pass closure-equals-order (n=6)\n")
+
+    def test_help_lists_every_check(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        option = "\n  --property NAME"
+        text = text[text.index(option) + len(option):text.index("\n  --format")]
+        expected = "run only the named checks (repeatable); one of: " + ", ".join(sorted(CHECKS))
+        # The help formatter wraps lines, hyphenated names included.
+        assert "".join(text.split()) == "".join(expected.split())
+
+    def test_unknown_property_is_argparses_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "3", "--property", "nope"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        # The same error from a parser given every name up front.
+        reference = argparse.ArgumentParser(prog="imbalattice verify")
+        reference.add_argument("--property", choices=sorted(CHECKS), metavar="NAME")
+        with pytest.raises(SystemExit):
+            reference.parse_args(["--property", "nope"])
+        expected = capsys.readouterr().err.splitlines()[-1]
+        assert err.splitlines()[-1] == expected
+        assert all(repr(name) in expected for name in CHECKS)
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from imbalattice import (
     CodeTree,
     MalformedTree,
+    bottom,
     canonical_code,
+    count_universe,
     enumerate_universe,
     leaf_codewords,
     leq,
@@ -16,6 +20,7 @@ from imbalattice import (
     tree_from_sequence,
     validate,
 )
+from imbalattice.lattice import _unrank
 
 
 def seq(*components):
@@ -30,6 +35,16 @@ def node_count_oracle(l, d):
         for length in range(min(len(word), d) + 1):
             prefixes.add(word[:length])
     return len(prefixes)
+
+
+def nodes_per_level(l):
+    """Nodes within each depth budget 0..last, scanning every component for
+    each level's leaves: O(n * depth), a reference for long sequences."""
+    totals, width = [], 1
+    for level in range(l.last + 1):
+        totals.append((totals[-1] if totals else 0) + width)
+        width = 2 * (width - sum(1 for c in l.components if c == level))
+    return totals
 
 
 class TestCanonicalCode:
@@ -110,6 +125,19 @@ class TestNodesWithinDepth:
             for l in enumerate_universe(n):
                 for d in range(n + 2):
                     assert nodes_within_depth(l, d) == node_count_oracle(l, d)
+
+    def test_matches_the_per_level_count_on_long_sequences(self):
+        draw = random.Random(1000)
+        pool = [top(1000), top(2000), bottom(2000)] + [
+            validate(_unrank(n, draw.randrange(count_universe(n, n))))
+            for n in (1000, 1000, 1000, 1500)
+        ]
+        for l in pool:
+            totals = nodes_per_level(l)
+            budgets = {*range(0, l.last + 1, max(1, l.last // 40)), l.last}
+            for d in budgets:
+                assert nodes_within_depth(l, d) == totals[d], (len(l), d)
+            assert nodes_within_depth(l, l.last + 7) == totals[-1] == 2 * len(l) - 1
 
     def test_antitone_in_the_order(self):
         for n in range(1, 9):
