@@ -21,7 +21,7 @@ print("== two enumerations, one answer ==")
 for n in range(1, 13):
     fast = set(enumerate_universe(n).elements)
     slow = set(enumerate_by_partition(n))
-    print(f"  n={n:2d}: expansion closure {len(fast):3d}, "
+    print(f"  n={n:2d}: leaf-count table {len(fast):3d}, "
           f"partition search {len(slow):3d}, equal: {fast == slow}")
 
 print()

@@ -7,18 +7,11 @@ enumerated upper bounds, derives the balancing moves whose closure
 generates the order, and exposes the covering (Hasse) structure, read off
 those moves, with JSON and DOT exports.
 
-Enumeration grows the universe by expansion closure: every length-n
-sequence arises by re-expanding its contraction, so expanding each
-(n-1)-sequence at the depths that its own contraction can undo reaches
-every length-n sequence exactly once.  An independent enumeration lives in
-``imbalattice.oracle`` precisely so the two can be checked against each
-other.
-
-Counting needs no enumeration.  A sequence is read top-down as so many
-leaves at depth 0, then so many at depth 1, and so on; ``f(k, m)`` counts
-the ways to place ``k`` leaves still to come when ``m`` nodes are open at
-the current depth.  Either the next open node is a leaf, or none is and
-all ``m`` split into ``2m`` at the next depth, so
+Enumeration, counting and unranking read one table.  A sequence is read
+top-down as so many leaves at depth 0, then so many at depth 1, and so on;
+``f(k, m)`` counts the ways to place ``k`` leaves still to come when ``m``
+nodes are open at the current depth.  Either the next open node is a leaf,
+or none is and all ``m`` split into ``2m`` at the next depth, so
 
     f(k, m) = f(k - 1, m - 1) + f(k, 2m),   f(0, 0) = 1,
 
@@ -26,8 +19,11 @@ with ``f(k, m) = 0`` when ``m > k`` or ``m = 0 < k``; the universe has
 ``f(n, 1)`` elements.  Telescoping the first term gives the same table as
 ``f(k, m) = [k == m] + sum(f(k - j, 2(m - j)) for j < m)``, the sum over
 ``j`` leaves at the current depth.  Taking the leaf branch first is
-lexicographic order, so the same table unranks an index into the
-enumeration order without building the universe.
+lexicographic order, so one descent through the table unranks an index
+without building the universe, and descending once per index enumerates
+it in order, with nothing to sort.  An independent enumeration lives in
+``imbalattice.oracle`` precisely so the two can be checked against each
+other.
 
 The meet recursion compares no partial sums.  Each level keeps the upper
 expansion of the contractions' meet exactly when its last component is
@@ -48,7 +44,7 @@ sequence they return is built once through the validating
 ``PathLengthSequence`` constructor, and the Hasse diagram, which returns
 cover indices, builds no sequence for its covers.
 
-Only universe construction is memoized; the unranking table, a count's
+Only universe construction is memoized; the leaf-count table, a count's
 row and the cover edges live for one call.  All returned values are
 immutable, so results may be shared freely across threads.
 """
@@ -164,36 +160,6 @@ def _check_size(n: int, ceiling: int) -> None:
         )
 
 
-def _children(c: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The expansions of ``c`` whose contraction is ``c`` itself.
-
-    Contraction merges two deepest leaves, so it undoes exactly the
-    expansions of a leaf at depth ``last c`` (the upper expansion) or
-    ``last c - 1`` (the lower expansion, when its leaf has that depth).
-    """
-    yield _expand(c, len(c) - 1)
-    i = _lower_index(c)
-    if c[i] == c[-1] - 1:
-        yield _expand(c, i)
-
-
-@lru_cache(maxsize=None)
-def _universe(n: int) -> LatticeUniverse:
-    # Every sequence has one contraction, so growing each level by the
-    # children of its members reaches every sequence exactly once: no
-    # duplicates to drop, and only the final level is validated.
-    level = [(0,)]
-    for _ in range(n - 1):
-        level = [child for c in level for child in _children(c)]
-    return LatticeUniverse(n, tuple(map(PathLengthSequence, sorted(level))))
-
-
-def enumerate_universe(n: int, ceiling: int = DEFAULT_CEILING) -> LatticeUniverse:
-    """All path-length sequences of length ``n``, by expansion closure."""
-    _check_size(n, ceiling)
-    return _universe(n)
-
-
 def _leaf_row(above: tuple[int, ...]) -> tuple[int, ...]:
     """Row ``k`` of the leaf-count table from row ``k - 1``.
 
@@ -231,19 +197,15 @@ def count_universe(n: int, ceiling: int = DEFAULT_CEILING) -> int:
     return row[1]
 
 
-def _unrank(n: int, r: int) -> tuple[int, ...]:
-    """Component tuple of the element at index ``r`` of the length-``n``
-    universe in enumeration (lexicographic) order, without enumerating.
+def _descend(rows: list[tuple[int, ...]], r: int) -> tuple[int, ...]:
+    """Component tuple of the element at index ``r`` (unchecked) of the
+    universe whose leaf-count rows are ``rows``, in lexicographic order.
 
     At each step ``f(k - 1, m - 1)`` sequences place a leaf at the current
     depth and sort before the ``f(k, 2m)`` that go one level deeper.
     """
-    rows = _leaf_counts(n)
-    count = rows[n][1]
-    if not 0 <= r < count:
-        raise ValueError(f"rank {r} is outside [0, {count}) for n={n}")
     components = []
-    k, m, depth = n, 1, 0
+    k, m, depth = len(rows) - 1, 1, 0
     while k:
         here = rows[k - 1][m - 1]
         if r < here:
@@ -253,6 +215,31 @@ def _unrank(n: int, r: int) -> tuple[int, ...]:
             r -= here
             m, depth = 2 * m, depth + 1
     return tuple(components)
+
+
+@lru_cache(maxsize=None)
+def _universe(n: int) -> LatticeUniverse:
+    rows = _leaf_counts(n)
+    return LatticeUniverse(
+        n, tuple(PathLengthSequence(_descend(rows, r)) for r in range(rows[n][1]))
+    )
+
+
+def enumerate_universe(n: int, ceiling: int = DEFAULT_CEILING) -> LatticeUniverse:
+    """All path-length sequences of length ``n``, in lexicographic order,
+    by descending the leaf-count table once per index."""
+    _check_size(n, ceiling)
+    return _universe(n)
+
+
+def _unrank(n: int, r: int) -> tuple[int, ...]:
+    """Component tuple of the element at index ``r`` of the length-``n``
+    universe in enumeration (lexicographic) order, without enumerating."""
+    rows = _leaf_counts(n)
+    count = rows[n][1]
+    if not 0 <= r < count:
+        raise ValueError(f"rank {r} is outside [0, {count}) for n={n}")
+    return _descend(rows, r)
 
 
 def _meet(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:

@@ -6,9 +6,10 @@ the two is evidence rather than tautology: order checks recompute partial
 sums straight from the definition as exact integers (in units of the
 smallest weight, computed here rather than borrowed from the order code),
 enumeration searches dyadic partitions of 1 with an integer budget instead
-of closing under expansions, meets and joins are found by exhaustive scans
-over a universe, and cover pairs come from a cubic transitive reduction of
-the definition-level order instead of from balancing steps.
+of descending a table of leaf counts, meets and joins are found by
+exhaustive scans over a universe, and cover pairs come from a cubic
+transitive reduction of the definition-level order instead of from
+balancing steps.
 
 ``closure_equals_order`` is the one deliberate exception: it consumes the
 minimal balancing relation (the artifact under test) and checks that its

@@ -170,13 +170,16 @@ def validate(components: Iterable[int]) -> PathLengthSequence:
 def parse_components(text: str) -> tuple[int, ...]:
     """Parse the shared textual syntax: comma-separated decimal integers.
 
+    Each integer is ASCII digits with an optional leading ``-``; other
+    Unicode digits, such as fullwidth or superscript ones, are rejected.
     Only parses; semantic validation is a separate step (``validate``).
     """
     if not text:
         raise ValueError("empty sequence text")
     parts = []
     for token in text.split(","):
-        if not token or not (token.isdigit() or (token[0] == "-" and token[1:].isdigit())):
+        digits = token[1:] if token[:1] == "-" else token
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"not a comma-separated integer list: {text!r}")
         parts.append(int(token))
     return tuple(parts)

@@ -260,6 +260,12 @@ class TestExitCodes:
             main(["compare", "1,2,x", "1,1"])
         assert info.value.code == 2
 
+    def test_non_ascii_digit_is_the_modules_parse_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "²", "1"])
+        assert info.value.code == 2
+        assert "not a comma-separated integer list: '²'" in capsys.readouterr().err
+
     def test_missing_command_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from imbalattice import (
     enumerate_universe,
     excess_indices,
     expansion_at,
+    format_sequence,
     hasse,
     hasse_dot,
     hasse_json,
@@ -48,6 +50,52 @@ NINE_OF_SEVEN = [
     (2, 2, 3, 3, 3, 4, 4),
     (2, 3, 3, 3, 3, 3, 3),
 ]
+
+
+# sha256 of the ``enumerate N`` lines and of ``hasse_json(hasse(N))`` for
+# N = 1..18: the output stays fixed whatever engine builds the universe.
+OUTPUT_DIGESTS = [
+    (1, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "e4f1b1becfb20df246a36244fc0732f8bd93781b52ec9b0778aca424cfda9133"),
+    (2, "660d27866c015bac26537ee8c3f4d4bd0822c690b976244961d61951e88520fb",
+        "2d19cd22eedeb2baf4fd1051456e368b67fbf1af19d5518bed3c26cf0cf338c2"),
+    (3, "efac2f91799570cc54e7d8044b465173481a29f7ac58073fe322227b922dfba3",
+        "fbf127b52b4e4d70b70344ce8c665e6a05f104f6c0dae87c252bce61ace041d1"),
+    (4, "249cc8074bff1b26f8f173cef9bf7e0b7878db1b1a24aa3673f6b255e1a51421",
+        "b0bdb93626f875693355536dda42e353826bfd06a6300655fe8ea352aea8e5e1"),
+    (5, "411e124aefbdb7cee2b02b9f467219faf61e0b9fa0cd354e3ee1b1a67d4d1463",
+        "f6e15861d56031aa1b5e5ae86cb300db5d67f86ded870e9e941dc7c947acfbe2"),
+    (6, "1cfc006581495bea7a0652d1b5c63a0d9098490c975b96e1b940ceafaf425f0a",
+        "bedb044f3b8d1143323fc9b148c83ceda0886d42e76884f780a8aa0c101871f0"),
+    (7, "a93b676fdf2d8c97bf79d8572722a14fd545bc9f3929670d4db4480f3566b0d9",
+        "a057a267240f1baf243b99efde6273184b705ad1841cec5852c00dfb82f4e8a0"),
+    (8, "93fa691d80fef467808f75ca898ce6b96908abf28a09d7def584042ac68b164d",
+        "6b42f9ea29b55f5fa03e307a1f44e8a486be864d38ac2c543304fe02bd37ee68"),
+    (9, "72d5b2bd00fdb78b408712ab1441f9e7fd8038b7ef76a4974fb88e2280ddc97a",
+        "dea5241f43aa4baab304abea599eabb958f7902db2653f1714fe1cb7f4340a2d"),
+    (10, "b787b876ccfe7f1c6e25bf3a7b9cc92b11497fe400d727df91535e7706093b86",
+        "031222ad6ed36d691bd41c8a65ec957f8773f22b6d7b89a3aa9ada31002ac3f2"),
+    (11, "f9b9d433c9dc0ea3e90434bcf3bcf48f2b2028df7605e125138c1f1c7b89cac4",
+        "ed45ea004b6ed77c7f492298f32b3f38f9e547ad974929ac912e4b952dcf1976"),
+    (12, "4470fc30ee21b983a5fb1e9732d8007e0edf5748a7247ae5bd3103d0d796d52a",
+        "0b2445f8da8e75871f81b4cfffb10532a61f13d2725719b7c1105d6447fe25f5"),
+    (13, "17a8c4195cfd20d7bf0e506db427c19a1983d45b74700245438edf2f71a96169",
+        "6f1ce9ac6695aa1a2c2c98c17835d3b672418961a067ad5d01f866423667e855"),
+    (14, "f1dfdb5803f7a716ccdda51814ac35d5acfca92ae545bd0ce86cea12afe2ca51",
+        "7dd71e6ca850909829631d2b5073a9ceab5a210132dabf7b7eee8ead8c2ec193"),
+    (15, "72da967ecd06a036493d53b99fda75b4135f1ab220ab463429ed6fea352bf39c",
+        "cd82a266d18daf49c40504df55c22b505680258fadc6a42b53b4ae85fc09aba4"),
+    (16, "79a8dc973b21790da608beaa0e1e4938414298925f8a21892423af66e4114818",
+        "8d6d08caf68efec09a4198dbf7434daa3fa378298a2dcbe53b84473053f42064"),
+    (17, "dd2f6fb807ad5983cfc035aea0484849a7d44b5559e676549760387315f8a35d",
+        "c63db4f007fe5b9668894b9554841a0ee53b2dae57c5d1944d083fdc51d99cca"),
+    (18, "14039791710a8459cf56dda90c93b53d52c74f5dd5fdb14901144dbafb160a44",
+        "1d2d2b862b53f2b37208c90bebae0404d31ee5d9a6795bb83ab49cd7ef968b51"),
+]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def seq(*components):
@@ -92,7 +140,7 @@ class TestEnumerate:
         assert len(enumerate_universe(21, ceiling=21)) > len(enumerate_universe(20))
 
     def test_matches_the_closure_over_every_position(self):
-        for n in range(2, 15):
+        for n in range(2, 19):
             grown = {
                 expansion_at(l, i).components
                 for l in enumerate_universe(n - 1)
@@ -103,6 +151,26 @@ class TestEnumerate:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             enumerate_universe(0)
+
+    @pytest.mark.parametrize(
+        "n, lines, json_", OUTPUT_DIGESTS, ids=[f"n={row[0]}" for row in OUTPUT_DIGESTS]
+    )
+    def test_output_is_pinned(self, n, lines, json_):
+        text = "".join(format_sequence(el) + "\n" for el in enumerate_universe(n))
+        assert (sha256(text), sha256(hasse_json(hasse(n)))) == (lines, json_)
+
+    def test_builds_no_expansion(self, monkeypatch):
+        # One engine: the universe comes from the leaf-count table alone.
+        def no_expansion(*args):
+            raise AssertionError("the universe was grown by expansion")
+
+        before = list(enumerate_universe(12))
+        monkeypatch.setattr(imbalattice.lattice, "_expand", no_expansion)
+        imbalattice.lattice._universe.cache_clear()
+        try:
+            assert list(enumerate_universe(12)) == before
+        finally:
+            imbalattice.lattice._universe.cache_clear()
 
     def test_universe_lookup(self):
         universe = enumerate_universe(7)

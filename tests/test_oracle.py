@@ -40,7 +40,7 @@ class TestEnumerateByPartition:
     def test_count_at_ten(self):
         assert len(enumerate_by_partition(10)) == 50
 
-    def test_matches_expansion_closure(self, holds):
+    def test_matches_the_fast_enumeration(self, holds):
         holds(12, "enumeration-oracle")
 
     def test_ceiling(self):

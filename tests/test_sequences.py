@@ -100,9 +100,9 @@ class TestTextSyntax:
         assert format_sequence(seq(1, 2, 3, 4, 4)) == "1,2,3,4,4"
         assert str(seq(0)) == "0"
 
-    @pytest.mark.parametrize("text", ["", "1,,2", "1, 2", "a,b", "1;2"])
+    @pytest.mark.parametrize("text", ["", "1,,2", "1, 2", "a,b", "1;2", "１,１", "²"])
     def test_rejects_junk(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty sequence text|not a comma-separated"):
             parse_components(text)
 
     def test_parse_is_not_validation(self):
