@@ -40,7 +40,7 @@ def _components(text: str) -> tuple[int, ...]:
 
 def _positive(text: str) -> int:
     try:
-        value = int(text)
+        value = sequences._integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:

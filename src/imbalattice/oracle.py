@@ -3,13 +3,13 @@
 Nothing here is a production path.  The point of this module is to share as
 little as possible with the fast implementations so that agreement between
 the two is evidence rather than tautology: order checks recompute partial
-sums straight from the definition as exact integers (in units of the
-smallest weight, computed here rather than borrowed from the order code),
-enumeration searches dyadic partitions of 1 with an integer budget instead
-of descending a table of leaf counts, meets and joins are found by
-exhaustive scans over a universe, and cover pairs come from a cubic
-transitive reduction of the definition-level order instead of from
-balancing steps.
+sums straight from the definition as exact integers, and enumeration
+searches dyadic partitions of 1 with an integer budget instead of
+descending a table of leaf counts.  Both count in one unit, ``2**-(n-1)``
+for length ``n``, computed here rather than borrowed from the order code.
+Meets and joins are found by one exhaustive scan over a universe, and
+cover pairs come from a cubic transitive reduction of the definition-level
+order instead of from balancing steps.
 
 ``closure_equals_order`` is the one deliberate exception: it consumes the
 minimal balancing relation (the artifact under test) and checks that its
@@ -79,34 +79,29 @@ _PARTIAL_SUMS_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_PARTIAL_SUMS_CACHE_SIZE)
-def _scaled_sums(components: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """``(d, sums)``: the partial sums of the weights ``2**-depth``, each an
-    exact integer count of ``2**-d`` units, with ``d`` the largest depth."""
-    scale = max(components)
+def _scaled_sums(components: tuple[int, ...]) -> tuple[int, ...]:
+    """The partial sums of the weights ``2**-depth``, each an exact integer
+    count of ``2**-(n-1)`` units, with ``n = len(components)``: no leaf of a
+    length-``n`` sequence is deeper than ``n - 1``.  This is the unit
+    ``enumerate_by_partition`` budgets in."""
+    deepest = len(components) - 1
     sums = []
     acc = 0
     for depth in components:
-        acc += 1 << (scale - depth)
+        acc += 1 << (deepest - depth)
         sums.append(acc)
-    return scale, tuple(sums)
+    return tuple(sums)
 
 
 def leq_by_definition(l: PathLengthSequence, h: PathLengthSequence) -> bool:
     """Definition-level order check via exact integer partial sums.
 
-    Each side's sums count units of ``2**-d`` for its own largest depth
-    ``d``; the coarser side is shifted to the finer scale before the
-    componentwise comparison.
+    Two sequences of one length ``n`` count their sums in the same unit,
+    ``2**-(n-1)``, so the comparison is componentwise as they stand.
     """
     if len(l.components) != len(h.components):
         return False
-    scale_l, a = _scaled_sums(l.components)
-    scale_h, b = _scaled_sums(h.components)
-    if scale_l < scale_h:
-        a = [x << (scale_h - scale_l) for x in a]
-    elif scale_h < scale_l:
-        b = [y << (scale_l - scale_h) for y in b]
-    return all(map(le, a, b))
+    return all(map(le, _scaled_sums(l.components), _scaled_sums(h.components)))
 
 
 def enumerate_by_partition(n: int, ceiling: int = DEFAULT_CEILING) -> tuple[PathLengthSequence, ...]:
@@ -173,38 +168,32 @@ def meet_bruteforce(
     s: PathLengthSequence, t: PathLengthSequence, universe: LatticeUniverse
 ) -> PathLengthSequence:
     """Unique maximum of the common lower bounds, by exhaustive scan."""
-    universe.index(s)
-    universe.index(t)
-    lowers = [
-        u for u in universe if leq_by_definition(u, s) and leq_by_definition(u, t)
-    ]
-    greatest = [m for m in lowers if all(leq_by_definition(u, m) for u in lowers)]
-    if len(greatest) != 1:
-        raise NotALattice(
-            f"lower bounds of {s} and {t} have no unique maximum",
-            pair=(s, t),
-            bounds=tuple(lowers),
-        )
-    return greatest[0]
+    return _unique_bound(s, t, universe, upper=False)
 
 
 def join_bruteforce(
     s: PathLengthSequence, t: PathLengthSequence, universe: LatticeUniverse
 ) -> PathLengthSequence:
     """Unique minimum of the common upper bounds, by exhaustive scan."""
+    return _unique_bound(s, t, universe, upper=True)
+
+
+def _unique_bound(
+    s: PathLengthSequence, t: PathLengthSequence, universe: LatticeUniverse, upper: bool
+) -> PathLengthSequence:
+    """The common bound of ``s`` and ``t`` that every other common bound lies
+    beyond: below it for lower bounds, above it for upper bounds."""
     universe.index(s)
     universe.index(t)
-    uppers = [
-        u for u in universe if leq_by_definition(s, u) and leq_by_definition(t, u)
-    ]
-    least = [m for m in uppers if all(leq_by_definition(m, u) for u in uppers)]
-    if len(least) != 1:
+    beyond = (lambda x, y: leq_by_definition(y, x)) if upper else leq_by_definition
+    bounds = [u for u in universe if beyond(u, s) and beyond(u, t)]
+    extreme = [m for m in bounds if all(beyond(u, m) for u in bounds)]
+    if len(extreme) != 1:
+        side, end = ("upper", "minimum") if upper else ("lower", "maximum")
         raise NotALattice(
-            f"upper bounds of {s} and {t} have no unique minimum",
-            pair=(s, t),
-            bounds=tuple(uppers),
+            f"{side} bounds of {s} and {t} have no unique {end}", pair=(s, t), bounds=tuple(bounds)
         )
-    return least[0]
+    return extreme[0]
 
 
 def closure_equals_order(n: int, ceiling: int = DEFAULT_CEILING) -> PropertyReport:

@@ -167,6 +167,17 @@ def validate(components: Iterable[int]) -> PathLengthSequence:
     return PathLengthSequence(tuple(components))
 
 
+def _integer(token: str) -> int:
+    """One integer of the shared textual syntax: ASCII digits with an
+    optional leading ``-``.  Rejects what ``int`` would also take: other
+    Unicode digits (fullwidth, superscript), ``+``, spaces and underscores.
+    """
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_components(text: str) -> tuple[int, ...]:
     """Parse the shared textual syntax: comma-separated decimal integers.
 
@@ -176,13 +187,10 @@ def parse_components(text: str) -> tuple[int, ...]:
     """
     if not text:
         raise ValueError("empty sequence text")
-    parts = []
-    for token in text.split(","):
-        digits = token[1:] if token[:1] == "-" else token
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"not a comma-separated integer list: {text!r}")
-        parts.append(int(token))
-    return tuple(parts)
+    try:
+        return tuple(map(_integer, text.split(",")))
+    except ValueError:
+        raise ValueError(f"not a comma-separated integer list: {text!r}") from None
 
 
 def format_sequence(l: PathLengthSequence) -> str:

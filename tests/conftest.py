@@ -8,7 +8,9 @@ from imbalattice import (
     lower_expansion,
     run_checks,
     upper_expansion,
+    validate,
 )
+from imbalattice.lattice import _lower_covers
 
 
 @pytest.fixture
@@ -64,3 +66,25 @@ def lower_covers_by_filter():
     """Reference lower covers that scan the order over all step targets
     (session-scoped, so Hypothesis tests may use it)."""
     return _lower_covers_by_filter
+
+
+def _is_join_by_certificate(s, t, j):
+    """Whether ``j`` is the join of ``s`` and ``t``, from ``j``'s lower covers
+    alone: both lie below ``j`` by the definition-level order, and no lower
+    cover of ``j`` lies above both.  A smaller common upper bound would lie
+    below some lower cover of ``j``, and that cover above both."""
+    return (
+        leq_by_definition(s, j)
+        and leq_by_definition(t, j)
+        and not any(
+            leq_by_definition(s, c) and leq_by_definition(t, c)
+            for c in map(validate, _lower_covers(j.components))
+        )
+    )
+
+
+@pytest.fixture(scope="session")
+def is_join_by_certificate():
+    """Per-answer join check that needs no universe (session-scoped, so
+    Hypothesis tests may use it)."""
+    return _is_join_by_certificate

@@ -266,6 +266,23 @@ class TestExitCodes:
         assert info.value.code == 2
         assert "not a comma-separated integer list: '²'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["enumerate", "４"], "４"),
+            (["enumerate", "1_0", "--count"], "1_0"),
+            (["enumerate", " 5", "--count"], " 5"),
+            (["enumerate", "+5", "--count"], "+5"),
+            (["balance", "1,2,3,4,4", "--at", "４"], "４"),
+            (["enumerate", "5", "--ceiling", "４"], "４"),
+        ],
+    )
+    def test_sizes_and_indices_use_the_component_syntax(self, capsys, argv, token):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"not an integer: {token!r}" in capsys.readouterr().err
+
     def test_missing_command_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])

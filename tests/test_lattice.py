@@ -25,6 +25,7 @@ from imbalattice import (
     is_join_irreducible_by_balancing,
     is_join_irreducible_by_covers,
     join,
+    join_bruteforce,
     leq,
     leq_by_definition,
     meet,
@@ -361,6 +362,22 @@ class TestJoin:
 
     def test_matches_the_bruteforce_join(self, holds):
         holds(8, "meet-oracle-agreement")
+
+    def test_certificate_picks_out_the_bruteforce_join(self, is_join_by_certificate):
+        for n in range(1, 9):
+            universe = enumerate_universe(n)
+            for s in universe:
+                for t in universe:
+                    passing = [j for j in universe if is_join_by_certificate(s, t, j)]
+                    assert passing == [join_bruteforce(s, t, universe)], (s, t)
+
+    @pytest.mark.parametrize("n", range(13, 19))
+    def test_passes_the_certificate_on_sampled_pairs(self, is_join_by_certificate, n):
+        draw = random.Random(n)
+        count = count_universe(n)
+        for _ in range(5):
+            s, t = (validate(_unrank(n, draw.randrange(count))) for _ in range(2))
+            assert is_join_by_certificate(s, t, join(s, t)), (s, t)
 
     def test_absorption(self, holds):
         holds(8, "join-absorption")

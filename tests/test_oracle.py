@@ -1,10 +1,13 @@
+import ast
 import json
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
 from imbalattice import (
+    LatticeUniverse,
     NotALattice,
     ResourceLimit,
     bottom,
@@ -19,11 +22,41 @@ from imbalattice import (
     validate,
 )
 from imbalattice.errors import ElementNotInUniverse
+import imbalattice.oracle
 from imbalattice.oracle import PropertyReport, _scaled_sums
 
 
 def seq(*components):
     return validate(components)
+
+
+class TestIndependence:
+    def test_imports_only_the_shared_vocabulary(self):
+        # The oracle's agreement with the fast paths is evidence only while
+        # it borrows none of their algorithms: just values, errors, the
+        # size guard and the relation it checks.
+        tree = ast.parse(Path(imbalattice.oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("imbalattice")
+            ):
+                module = (node.module or "").removeprefix("imbalattice.")
+                imported |= {(module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {
+                    (alias.name, None) for alias in node.names
+                    if alias.name.startswith("imbalattice")
+                }
+        assert imported == {
+            ("_value", "Value"),
+            ("errors", "NotALattice"),
+            ("lattice", "DEFAULT_CEILING"),
+            ("lattice", "LatticeUniverse"),
+            ("lattice", "_check_size"),
+            ("lattice", "minimal_balancing_relation"),
+            ("sequences", "PathLengthSequence"),
+        }
 
 
 class TestEnumerateByPartition:
@@ -100,6 +133,24 @@ class TestBruteforceBounds:
         error = NotALattice("boom", pair=(seq(0), seq(0)), bounds=(seq(0),))
         assert error.pair == (seq(0), seq(0))
         assert error.bounds == (seq(0),)
+
+    def test_incomparable_pair_alone_has_no_bounds(self):
+        # A universe of two incomparable elements: neither pair member lies
+        # below or above both, so the scans find no common bound at all.
+        s = seq(2, 2, 2, 3, 4, 5, 5)
+        t = seq(1, 3, 3, 4, 4, 4, 4)
+        universe = LatticeUniverse(7, (s, t))
+        for scan, side, end in [
+            (meet_bruteforce, "lower", "maximum"),
+            (join_bruteforce, "upper", "minimum"),
+        ]:
+            with pytest.raises(NotALattice) as caught:
+                scan(s, t, universe)
+            assert str(caught.value) == (
+                f"{side} bounds of 2,2,2,3,4,5,5 and 1,3,3,4,4,4,4 have no unique {end}"
+            )
+            assert caught.value.pair == (s, t)
+            assert caught.value.bounds == ()
 
 
 class TestCoversByDefinition:
