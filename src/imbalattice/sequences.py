@@ -13,11 +13,14 @@ caterpillar tree at the top.
 
 All arithmetic is exact.  Weights are rescaled to a common power of two and
 handled as arbitrary-precision integers; floating point is never used.
-``_weights`` is their one source (the Kraft check, ``scaled_partial_sums``
-and the canonical code in ``imbalattice.trees``); only the early-exit order
-test ``_leq`` adds them inline.  ``_VERDICTS`` maps its two one-way answers
-to an ``OrderVerdict``.  Every value here is immutable and every function
-pure, so the module is safe for unrestricted concurrent use.
+``_weights`` is their one source (``scaled_partial_sums`` and the
+canonical code in ``imbalattice.trees``); only the early-exit order test
+``_leq`` adds them inline.  The Kraft check needs no weights: it counts
+the leaves at each depth and carries half of each level's nodes to the
+level above, from the deepest leaf to the root.  ``_VERDICTS`` maps
+``_leq``'s two one-way answers to an ``OrderVerdict``.  Every value here is
+immutable and every function pure, so the module is safe for unrestricted
+concurrent use.
 """
 
 from __future__ import annotations
@@ -92,10 +95,25 @@ class PathLengthSequence(Value):
             )
         scale = components[-1]
         # Kraft equality caps the depth at n - 1; checking that first keeps
-        # the shift below bounded by the input length.
+        # the shifts below bounded by the input length.
         if scale >= len(components):
             raise KraftSumNotOne(components)
-        if sum(_weights(components, scale)) != 1 << scale:
+        # Pair the nodes off level by level from the deepest leaf up:
+        # ``pending`` counts the nodes at ``level``, and climbing the ``gap``
+        # levels to the next leaf's depth halves them ``gap`` times, so they
+        # must be a multiple of 2**gap.  The weights sum to 1 exactly when
+        # the nodes at the shallowest leaf's level pair off into the root
+        # alone.  O(n) in all: the gaps add up to less than n.
+        pending, level = 0, scale
+        for depth in reversed(components):
+            if depth != level:
+                gap = level - depth
+                if pending & ((1 << gap) - 1):
+                    raise KraftSumNotOne(components)
+                pending >>= gap
+                level = depth
+            pending += 1
+        if pending != 1 << level:
             raise KraftSumNotOne(components)
 
     @property

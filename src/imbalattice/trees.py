@@ -11,7 +11,10 @@ depths with a stack of open internal nodes, so it needs neither the
 codeword strings nor recursion; the walkers
 (``leaf_codewords``, ``tree_ascii``, ``tree_dot``) share one preorder walk
 on an explicit stack, so a tree of any depth can be built, read back and
-rendered.
+rendered.  A ``CodeTree`` compares, hashes, prints and pickles through its
+preorder shape, also without recursion: equal when the class and the shape
+are, hashed as its field tuple, printed as its nested fields, and pickled
+or copied as the shape it is rebuilt from.
 
 Two tree parameters drive monotonicity arguments about the balance order:
 the component sum (the external path length, strictly increasing with
@@ -49,6 +52,13 @@ class CodeTree(Value):
     A node is a leaf when ``children`` is ``None``; otherwise it has exactly
     two children in left/right order.  Any other child count is rejected as
     malformed (binary trees realizing Kraft sequences are always full).
+
+    Comparison, hashing, printing and pickling walk the tree from an
+    explicit stack, so they work at any depth.  Two trees are equal when
+    they are of the same class and have the same preorder shape; the hash
+    is that of the field tuple ``(children,)``, worked out bottom-up; the
+    ``repr`` nests ``CodeTree(children=...)`` as the fields read; and
+    ``pickle``, ``copy`` and ``deepcopy`` rebuild the tree from its shape.
     """
 
     __slots__ = _fields = ("children",)
@@ -66,6 +76,80 @@ class CodeTree(Value):
     @property
     def is_leaf(self) -> bool:
         return self.children is None
+
+    def _shape(self) -> str:
+        """The preorder shape: ``1`` for each internal node, ``0`` for each
+        leaf."""
+        marks = []
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            if node.children is None:
+                marks.append("0")
+            else:
+                marks.append("1")
+                todo += reversed(node.children)
+        return "".join(marks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._shape() == other._shape()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # A tuple's hash reads only its items' hashes, so each node's hash
+        # is the tuple hash of its children's, already worked out below it.
+        return _fold(
+            self._shape(),
+            lambda: hash((None,)),
+            lambda left, right: hash(((_Hashed(left), _Hashed(right)),)),
+        )
+
+    def __repr__(self) -> str:
+        parts = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.children is None:
+                parts.append(f"{item.__class__.__qualname__}(children=None)")
+            else:
+                parts.append(f"{item.__class__.__qualname__}(children=(")
+                todo += ("))", item.children[1], ", ", item.children[0])
+        return "".join(parts)
+
+    def __reduce__(self):
+        return _rebuild, (self.__class__, self._shape())
+
+
+class _Hashed:
+    """Stands in for a subtree in a tuple whose hash is wanted: its own hash
+    is the subtree's, given."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+def _fold(shape: str, leaf, node):
+    """Fold a preorder shape bottom-up: each leaf becomes ``leaf()`` and
+    each internal node ``node(left, right)`` of its children's values.
+    Read backwards, a shape lists every node after its whole subtree, with
+    the left child's value on top of the right's."""
+    values = []
+    for mark in reversed(shape):
+        values.append(node(values.pop(), values.pop()) if mark == "1" else leaf())
+    return values.pop()
+
+
+def _rebuild(cls: type[CodeTree], shape: str) -> CodeTree:
+    """The tree of the given class and preorder shape (``__reduce__``)."""
+    return _fold(shape, cls, lambda left, right: cls((left, right)))
 
 
 def canonical_code(l: PathLengthSequence) -> tuple[str, ...]:

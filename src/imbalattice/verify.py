@@ -7,16 +7,17 @@ counterexample it finds there, or ``None`` when the law holds.
 then walks n = 1, 2, ... up to the requested maximum, sizes outermost.
 At each size it builds one ``SizeMemo``, runs every check that has no
 witness yet in registry order, and drops the memo before the next size.
-The memo caches ``meet`` and ``join`` per ordered pair, the oracle's
-bounds per pair and the ``leq`` bitmasks, with ``functools.cache`` and
-``cached_property``, for that one size only.  A cache never stores an
-exception and calls this module's globals at call time, so a check sees
-the same values, errors and patched functions, stops at the same pair
-and gives the same witness as it would alone.  The results become
-``PropertyReport``s named by the registry keys, which are the stable
-names the command line accepts.  The report order always follows the
-registry, so output is deterministic no matter how the checks are
-scheduled.
+For that one size the memo caches ``meet`` and ``join`` per ordered pair,
+the oracle's bounds per pair, both expansions, the contraction and cover
+irreducibility per element, and once each the ``leq`` bitmasks, the pairs
+``a <= b`` read off them and the balancing steps.  The pair sweeps walk
+that list, so a ``leq`` that raises reaches each of them through the
+bitmasks.  A cache never stores an exception and calls this module's
+globals at call time, so a check sees the same values, errors and patched
+functions, stops at the same pair and gives the same witness as alone.
+Reports are ``PropertyReport``s named by the registry keys, the stable
+names the command line accepts, and always come in registry order, so
+output is deterministic no matter how the checks are scheduled.
 """
 
 from __future__ import annotations
@@ -81,16 +82,18 @@ class SizeMemo:
     """One size of the law suite: its universe and memos of the calls that
     several checks make.
 
-    ``meet`` and ``join`` are memoized per ordered pair, the oracle's
-    ``bounds`` per pair and ``order_masks`` once, all with ``functools``.
-    ``run_checks`` builds one per size and drops it when that size is done,
-    so nothing outlives one size of one ``run_checks`` call.
-    ``functools.cache`` never stores an exception, so every check that
-    repeats a failing call gets the error itself.  The wrappers look up
-    ``meet``, ``join`` and the oracle's bounds as this module's globals at
-    call time, so a patched global is seen.  They close over the universe,
-    not the memo, so the memo is freed as soon as it is dropped.  Call them
-    positionally: ``functools.cache`` keys keyword calls apart.
+    Cached with ``functools``: ``meet`` and ``join`` per ordered pair, the
+    oracle's ``bounds`` per pair, ``lower_expansion``, ``upper_expansion``,
+    ``contraction`` and ``irreducible`` (by covers) per argument, and once
+    per size ``balancing_steps``, ``order_masks`` and the ``ordered_pairs``
+    read off them.  ``run_checks`` builds one per size and drops it when
+    that size is done.  No cache stores an exception, so every check that
+    repeats a failing call gets the error itself, and a ``leq`` that raises
+    reaches every check that reads the masks or the pairs.  The wrappers
+    look the library up as this module's globals at call time, so a
+    patched global is seen, and close over the universe, not the memo, so
+    the memo is freed as soon as it is dropped.  Call them positionally:
+    ``functools.cache`` keys keyword calls apart.
     """
 
     def __init__(self, universe: LatticeUniverse) -> None:
@@ -104,6 +107,11 @@ class SizeMemo:
         self.bounds = cache(
             lambda a, b: (meet_bruteforce(a, b, universe), join_bruteforce(a, b, universe))
         )
+        self.lower_expansion = cache(lambda l: lower_expansion(l))
+        self.upper_expansion = cache(lambda l: upper_expansion(l))
+        self.contraction = cache(lambda l: contraction(l))
+        self.irreducible = cache(lambda l: is_join_irreducible_by_covers(l, universe))
+        self.balancing_steps = cache(lambda: minimal_balancing_relation(n, n))
 
     @cached_property
     def order_masks(self) -> tuple[list[int], list[int]]:
@@ -118,6 +126,12 @@ class SizeMemo:
                     up[i] |= 1 << j
                     down[j] |= 1 << i
         return down, up
+
+    @cached_property
+    def ordered_pairs(self) -> list[tuple]:
+        """Every ``(a, b)`` with ``a <= b``, in ``product`` order."""
+        pool, (_, up) = self.elements, self.order_masks
+        return [(a, b) for i, a in enumerate(pool) for j, b in enumerate(pool) if up[i] >> j & 1]
 
 
 Check = Callable[[SizeMemo], "str | None"]
@@ -146,9 +160,7 @@ def _check_partial_order_laws(size: SizeMemo) -> str | None:
 
 
 def _check_last_suffix_monotonicity(size: SizeMemo) -> str | None:
-    for a, b in product(size.elements, repeat=2):
-        if not leq(a, b):
-            continue
+    for a, b in size.ordered_pairs:
         if a.last > b.last:
             return f"last {a} > last {b}"
         if a.last == b.last and suffix_length(a) > suffix_length(b):
@@ -173,28 +185,26 @@ def _check_scale_independence(size: SizeMemo) -> str | None:
 
 
 def _check_expansion_monotonicity(size: SizeMemo) -> str | None:
-    for a, b in product(size.elements, repeat=2):
-        if leq(a, b):
-            if not leq(lower_expansion(a), lower_expansion(b)):
-                return f"lower fails: {a}, {b}"
-            if not leq(upper_expansion(a), upper_expansion(b)):
-                return f"upper fails: {a}, {b}"
+    for a, b in size.ordered_pairs:
+        if not leq(size.lower_expansion(a), size.lower_expansion(b)):
+            return f"lower fails: {a}, {b}"
+        if not leq(size.upper_expansion(a), size.upper_expansion(b)):
+            return f"upper fails: {a}, {b}"
     return None
 
 
 def _check_expansion_coincidence(size: SizeMemo) -> str | None:
     for l in size.elements:
         constant = len(set(l.components)) == 1
-        if constant != (lower_expansion(l) == upper_expansion(l)):
+        if constant != (size.lower_expansion(l) == size.upper_expansion(l)):
             return f"at {l}"
     return None
 
 
 def _check_upper_lower_expansion(size: SizeMemo) -> str | None:
-    for a, b in product(size.elements, repeat=2):
-        if leq(a, b) and a.last < b.last:
-            if not leq(upper_expansion(a), lower_expansion(b)):
-                return f"{a} vs {b}"
+    for a, b in size.ordered_pairs:
+        if a.last < b.last and not leq(size.upper_expansion(a), size.lower_expansion(b)):
+            return f"{a} vs {b}"
     return None
 
 
@@ -202,8 +212,8 @@ def _check_contraction_sandwich(size: SizeMemo) -> str | None:
     if size.n == 1:
         return None  # a single leaf has no contraction
     for l in size.elements:
-        squeezed = contraction(l)
-        if not (leq(lower_expansion(squeezed), l) and leq(l, upper_expansion(squeezed))):
+        squeezed = size.contraction(l)
+        if not (leq(size.lower_expansion(squeezed), l) and leq(l, size.upper_expansion(squeezed))):
             return f"at {l}"
     return None
 
@@ -213,7 +223,7 @@ def _check_contraction_round_trip(size: SizeMemo) -> str | None:
         return None  # a single leaf has no contraction
     for l in size.elements:
         merged_position = size.n - suffix_length(l) + 1
-        if expansion_at(contraction(l), merged_position) != l:
+        if expansion_at(size.contraction(l), merged_position) != l:
             return f"at {l}"
     return None
 
@@ -235,8 +245,10 @@ def _check_enumeration_oracle(size: SizeMemo) -> str | None:
 
 def _check_bottom_top_extremes(size: SizeMemo) -> str | None:
     n, pool = size.n, size.elements
-    least = [u for u in pool if all(leq(u, v) for v in pool)]
-    greatest = [u for u in pool if all(leq(v, u) for v in pool)]
+    down, up = size.order_masks
+    everything = (1 << len(pool)) - 1
+    least = [u for u, mask in zip(pool, up) if mask == everything]
+    greatest = [u for u, mask in zip(pool, down) if mask == everything]
     if least != [bottom(n)]:
         return f"bottom({n}) != {least}"
     if greatest != [top(n)]:
@@ -332,7 +344,7 @@ def _check_covering_within_balancing(size: SizeMemo) -> str | None:
     covers = covering_pairs(n, n)
     if covers != covering_pairs_by_definition(n, n):
         return f"n={n}: covers differ from the definition"
-    steps = {(s.target, s.source) for s in minimal_balancing_relation(n, n)}
+    steps = {(s.target, s.source) for s in size.balancing_steps()}
     for low, high in covers:
         if (low, high) not in steps:
             return f"cover {low} < {high}"
@@ -340,7 +352,7 @@ def _check_covering_within_balancing(size: SizeMemo) -> str | None:
 
 
 def _check_balancing_step_decrement(size: SizeMemo) -> str | None:
-    for step in minimal_balancing_relation(size.n, size.n):
+    for step in size.balancing_steps():
         l, j, target = step.source, step.excess_index, step.target
         deep = l[j - 1]
         shallow = max(c for c in l if c <= deep - 2)
@@ -354,7 +366,7 @@ def _check_balancing_step_decrement(size: SizeMemo) -> str | None:
 
 def _check_irreducibility_triple_agreement(size: SizeMemo) -> str | None:
     for l in size.elements:
-        by_covers = is_join_irreducible_by_covers(l, size.universe)
+        by_covers = size.irreducible(l)
         by_balancing = is_join_irreducible_by_balancing(l)
         by_shape = is_join_irreducible_by_decomposition(l)
         if not (by_covers == by_balancing == by_shape):
@@ -366,7 +378,7 @@ def _check_irreducibility_triple_agreement(size: SizeMemo) -> str | None:
 
 def _check_unique_cover_first_step(size: SizeMemo) -> str | None:
     for l in size.elements:
-        if not is_join_irreducible_by_covers(l, size.universe):
+        if not size.irreducible(l):
             continue
         first = balancing_step(l, excess_indices(l)[0])
         if _lower_covers(l.components) != [first.components]:
@@ -375,16 +387,13 @@ def _check_unique_cover_first_step(size: SizeMemo) -> str | None:
 
 
 def _check_monotone_parameters(size: SizeMemo) -> str | None:
-    pool = size.elements
     # each element's sum and node counts within depth d = 0..n, once
-    sums = [sum_components(x) for x in pool]
-    counts = [[nodes_within_depth(x, d) for d in range(size.n + 1)] for x in pool]
-    for (i, a), (j, b) in product(enumerate(pool), repeat=2):
-        if not leq(a, b):
-            continue
-        if a != b and not sums[i] < sums[j]:
+    sums = {x: sum_components(x) for x in size.elements}
+    counts = {x: [nodes_within_depth(x, d) for d in range(size.n + 1)] for x in size.elements}
+    for a, b in size.ordered_pairs:
+        if a != b and not sums[a] < sums[b]:
             return f"sum not strict: {a}, {b}"
-        for d, (x, y) in enumerate(zip(counts[i], counts[j])):
+        for d, (x, y) in enumerate(zip(counts[a], counts[b])):
             if x < y:
                 return f"{a}, {b} at d={d}"
     return None

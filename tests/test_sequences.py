@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import imbalattice
 import imbalattice.sequences
 import imbalattice.trees
 from imbalattice import (
@@ -14,6 +20,7 @@ from imbalattice import (
     SequenceError,
     canonical_code,
     compare,
+    count_universe,
     enumerate_universe,
     format_sequence,
     leq,
@@ -23,6 +30,8 @@ from imbalattice import (
     suffix_length,
     validate,
 )
+from imbalattice.lattice import _unrank
+from imbalattice.sequences import _weights
 
 
 def seq(*components):
@@ -90,6 +99,66 @@ class TestValidate:
         for n in range(1, 10):
             for l in enumerate_universe(n):
                 assert l.last <= n - 1 or n == 1 and l.last == 0
+
+
+def outcome(c):
+    """What ``validate`` answers: the components, or the error and its text."""
+    try:
+        return validate(c).components
+    except SequenceError as exc:
+        return type(exc), str(exc)
+
+
+def outcome_by_weights(c):
+    """The same answer for a sorted, nonnegative ``c``, with the Kraft test
+    as the sum of the weights at the deepest scale."""
+    scale = c[-1]
+    if scale < len(c) and sum(_weights(c, scale)) == 1 << scale:
+        return c
+    return KraftSumNotOne, str(KraftSumNotOne(c))
+
+
+@st.composite
+def perturbed(draw):
+    """An element with n <= 64 with one component moved by 1, dropped or
+    added, sorted again."""
+    n = draw(st.integers(1, 64))
+    c = list(_unrank(n, draw(st.integers(0, count_universe(n, n) - 1))))
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["move", "drop", "add"]))
+    if kind == "move":
+        c[i] = max(0, c[i] + draw(st.sampled_from([-1, 1])))
+    elif kind == "drop" and n > 1:
+        del c[i]
+    else:
+        c.append(draw(st.integers(0, n)))
+    return tuple(sorted(c))
+
+
+class TestKraftByCarries:
+    def test_every_element_up_to_16(self):
+        for n in range(1, 17):
+            for l in enumerate_universe(n):
+                assert outcome(l.components) == outcome_by_weights(l.components)
+
+    def test_small_rejections(self):
+        for c in [(0, 1), (1, 1, 1), (1, 2, 2, 2), (1, 3, 3), (2, 2, 2, 2, 2)]:
+            assert outcome(c) == outcome_by_weights(c)
+            assert outcome(c)[0] is KraftSumNotOne
+
+    @given(perturbed())
+    def test_perturbations_agree_with_the_weights(self, c):
+        assert outcome(c) == outcome_by_weights(c)
+
+    def test_a_deep_caterpillar_validates_in_linear_time(self):
+        # summing the weights of top(n) takes time quadratic in n: tens of
+        # seconds at n = 10**6
+        code = "from imbalattice import top, validate; validate(top(10**6).components)"
+        env = dict(os.environ, PYTHONPATH=str(Path(imbalattice.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, timeout=30
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
 
 
 class TestTextSyntax:
@@ -244,8 +313,8 @@ class TestOneHomeForTheWeights:
 
         monkeypatch.setattr(imbalattice.sequences, "_weights", no_weights)
         monkeypatch.setattr(imbalattice.trees, "_weights", no_weights)
+        assert validate((1, 2, 2)) == seq(1, 2, 2)  # the Kraft check needs none
         for call in (
-            lambda: validate((1, 2, 2)),
             lambda: scaled_partial_sums(l),
             lambda: scaled_partial_sums(l, 6),
             lambda: canonical_code(l),

@@ -1,6 +1,14 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import imbalattice
 
 from imbalattice import (
     CodeTree,
@@ -98,6 +106,74 @@ class TestCodeTree:
     def test_hand_built_tree(self):
         lopsided = CodeTree((CodeTree(), CodeTree((CodeTree(), CodeTree()))))
         assert sequence_from_tree(lopsided) == seq(1, 2, 2)
+
+
+def every_shape(leaves):
+    """Every full binary tree with the given number of leaves."""
+    if leaves == 1:
+        return [CodeTree()]
+    return [
+        CodeTree((left, right))
+        for k in range(1, leaves)
+        for left in every_shape(k)
+        for right in every_shape(leaves - k)
+    ]
+
+
+def fields_of(tree):
+    """The nested field tuples that ``Value`` compares, hashes and prints."""
+    if tree.is_leaf:
+        return (None,)
+    left, right = tree.children
+    return ((fields_of(left), fields_of(right)),)
+
+
+def text_of(tree):
+    """The recursive ``repr`` that ``Value`` gives."""
+    if tree.is_leaf:
+        return "CodeTree(children=None)"
+    left, right = tree.children
+    return f"CodeTree(children=({text_of(left)}, {text_of(right)}))"
+
+
+class TestCodeTreeValue:
+    SHAPES = [tree for leaves in range(1, 8) for tree in every_shape(leaves)]
+
+    def test_equal_exactly_when_the_shapes_are(self):
+        twins = [tree for leaves in range(1, 8) for tree in every_shape(leaves)]
+        for i, a in enumerate(self.SHAPES):
+            for j, b in enumerate(twins):
+                assert (a == b) == (i == j)
+
+    def test_hash_and_repr_are_those_of_the_fields(self):
+        for tree in self.SHAPES:
+            assert hash(tree) == hash(fields_of(tree))
+            assert repr(tree) == text_of(tree)
+        assert len(set(self.SHAPES)) == len(self.SHAPES)
+
+    def test_copies_and_pickles_keep_the_shape(self):
+        for tree in self.SHAPES:
+            for twin in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+                assert twin == tree and leaf_codewords(twin) == leaf_codewords(tree)
+
+    def test_deep_trees_compare_hash_print_and_pickle(self):
+        # 4999 levels, far past the default recursion limit; a subprocess, so
+        # that a crash in C recursion cannot take the test run down with it
+        code = (
+            "import copy, pickle\n"
+            "from imbalattice import top, tree_from_sequence\n"
+            "tree = tree_from_sequence(top(5000))\n"
+            "assert tree == tree_from_sequence(top(5000))\n"
+            "assert hash(tree) == hash(tree_from_sequence(top(5000)))\n"
+            "assert repr(tree).count('children=None') == 5000\n"
+            "assert pickle.loads(pickle.dumps(tree)) == tree\n"
+            "assert copy.deepcopy(tree) == tree\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(imbalattice.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
 
 
 class TestNodesWithinDepth:

@@ -1,5 +1,6 @@
 """The law suite's runner: one memo per size, shared by the checks that ask
-for the same meet, join or oracle bounds, and pinned output."""
+for the same order, meet, join, oracle bounds or per-element value, and
+pinned output."""
 
 import hashlib
 from collections import Counter
@@ -14,17 +15,30 @@ from imbalattice.verify import CHECKS, run_checks
 
 def counting(monkeypatch, name):
     """Replace ``imbalattice.verify.<name>`` by a wrapper that counts its
-    calls by their first two arguments (a sequence by its components);
-    returns the counter."""
+    calls by the size being run and their first two arguments (a sequence
+    by its components); returns the counter."""
     original = getattr(imbalattice.verify, name)
+    universe = imbalattice.verify.enumerate_universe
+    size = [0]
     calls = Counter()
 
+    def sized(n, *rest):
+        size[0] = n
+        return universe(n, *rest)
+
     def counted(*args):
-        calls[tuple(getattr(a, "components", a) for a in args[:2])] += 1
+        calls[(size[0], *(getattr(a, "components", a) for a in args[:2]))] += 1
         return original(*args)
 
+    monkeypatch.setattr(imbalattice.verify, "enumerate_universe", sized)
     monkeypatch.setattr(imbalattice.verify, name, counted)
     return calls
+
+
+def own(calls, arity):
+    """How many of the counted calls took, as their first ``arity``
+    arguments, elements of the size being run."""
+    return sum(k for (n, *args), k in calls.items() if all(len(a) == n for a in args[:arity]))
 
 
 def failures(reports):
@@ -53,6 +67,26 @@ def test_per_element_values_are_computed_once_per_size(monkeypatch):
     (report,) = run_checks(6, ["scale-independence"])
     assert report.passed
     assert max(sums.values()) == 1
+
+
+def test_a_full_run_asks_each_order_and_element_fact_once(monkeypatch):
+    names = [
+        "leq",
+        "lower_expansion",
+        "upper_expansion",
+        "contraction",
+        "is_join_irreducible_by_covers",
+        "minimal_balancing_relation",
+    ]
+    calls = {name: counting(monkeypatch, name) for name in names}
+    assert all(r.passed for r in run_checks(8))
+    # order_masks asks each of the 378 ordered pairs once; contraction-sandwich
+    # (74) and balancing-step-decrement (42) compare values they build
+    assert own(calls["leq"], 2) <= 378 + 74 + 42
+    for name, expected in zip(names[1:5], (38, 38, 37, 38)):
+        assert own(calls[name], 1) == expected, name
+        assert max(calls[name].values()) == 1, name
+    assert calls["minimal_balancing_relation"] == {(n, n, n): 1 for n in range(1, 9)}
 
 
 # join(A, B) is wrong for one incomparable pair of length 7.
@@ -89,6 +123,25 @@ def test_a_wrong_meet_gives_the_same_witness_in_a_full_run(monkeypatch):
     expected = {
         "meet-oracle-agreement": "meet(1,3,3,4,4,4,4, 2,2,2,3,4,5,5)",
         "meet-semilattice-laws": "not commutative: 1,3,3,4,4,4,4, 2,2,2,3,4,5,5",
+    }
+    assert failures(run_checks(8)) == expected
+    for name, witness in expected.items():
+        assert failures(run_checks(8, [name])) == {name: witness}
+
+
+def test_a_wrong_leq_gives_the_same_witness_in_a_full_run(monkeypatch):
+    original = imbalattice.verify.leq
+
+    def planted(s, t):
+        return (s, t) == PLANTED or original(s, t)
+
+    monkeypatch.setattr(imbalattice.verify, "leq", planted)
+    pair = "1,3,3,4,4,4,4, 2,2,2,3,4,5,5"
+    expected = {
+        "expansion-monotonicity": f"lower fails: {pair}",
+        "upper-lower-expansion": "1,3,3,4,4,4,4 vs 2,2,2,3,4,5,5",
+        "meet-semilattice-laws": f"not greatest: {pair}, 1,3,3,4,4,4,4",
+        "monotone-parameters": f"sum not strict: {pair}",
     }
     assert failures(run_checks(8)) == expected
     for name, witness in expected.items():
