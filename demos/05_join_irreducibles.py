@@ -21,7 +21,7 @@ universe = enumerate_universe(7)
 print(f"{'sequence':>16}  covers  balancing  shape")
 for l in universe:
     verdicts = (
-        is_join_irreducible_by_covers(l, universe),
+        is_join_irreducible_by_covers(l),
         is_join_irreducible_by_balancing(l),
         is_join_irreducible_by_decomposition(l),
     )

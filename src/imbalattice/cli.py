@@ -95,7 +95,7 @@ def _cmd_hasse(args) -> int:
 def _cmd_irreducibles(args) -> int:
     universe = lattice.enumerate_universe(args.n, args.ceiling)
     tests = {
-        "covers": lambda el: irreducibility.is_join_irreducible_by_covers(el, universe),
+        "covers": irreducibility.is_join_irreducible_by_covers,
         "balancing": irreducibility.is_join_irreducible_by_balancing,
         "decomposition": irreducibility.is_join_irreducible_by_decomposition,
     }

@@ -13,6 +13,9 @@ characterizations:
   increasing middle and a near-constant tail, where a tail that starts with
   a repeated value must sit at least two levels below the preceding part.
 
+All three tests read the element alone, with no enumerated universe, so
+each answers at any n.
+
 The near-constant sequence (the lattice bottom) covers nothing and is
 therefore never join-irreducible; both shortcut checkers guard for it
 explicitly because their conditions would otherwise hold vacuously.
@@ -28,7 +31,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ._value import Value
-from .lattice import LatticeUniverse, _balance, _excess, _lower_covers
+from .lattice import _balance, _excess, _lower_covers
 from .sequences import PathLengthSequence, _leq
 
 __all__ = [
@@ -140,15 +143,14 @@ def decompose_segments(l: PathLengthSequence) -> SegmentDecomposition:
     return SegmentDecomposition(head, middle, tail)
 
 
-def is_join_irreducible_by_covers(l: PathLengthSequence, universe: LatticeUniverse) -> bool:
+def is_join_irreducible_by_covers(l: PathLengthSequence) -> bool:
     """Literal definition: exactly one lower cover.
 
     The lower covers come one per distinct split leaf (see
     ``lattice._lower_covers``), so this holds exactly when ``l`` has an
-    excess index and all of its excess indices split one leaf.  ``l`` must
-    belong to ``universe`` (``ElementNotInUniverse`` otherwise).
+    excess index and all of its excess indices split one leaf.  It reads
+    ``l`` alone, so it answers at any n.
     """
-    universe.index(l)
     return len(_lower_covers(l.components)) == 1
 
 

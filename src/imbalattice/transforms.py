@@ -12,6 +12,17 @@ Contraction is the inverse-style move: it merges the two deepest leaves and
 re-deepens the run boundary, producing an (n-1)-component sequence that
 sandwiches the original between its own lower and upper expansions.
 
+As maps between the lattices of lengths n and n +- 1, checked on every
+ordered pair for n <= 9 (``tests/test_transforms.py``; the proofs are
+open):
+
+* the upper expansion preserves meet and join, so it embeds the length-n
+  lattice as a sublattice of the length-(n + 1) one;
+* contraction preserves join but not meet: it breaks meet on 6 and 12
+  ordered pairs at n = 8 and 9, and on none below 8;
+* the lower expansion preserves meet but not join: it breaks join on 20
+  ordered pairs at n = 9, and on none below 9.
+
 The moves themselves run on plain component tuples (``_expand``,
 ``_contract``), which keep sortedness and the Kraft sum by construction;
 the public functions wrap their one result in a validated

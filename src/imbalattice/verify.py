@@ -110,7 +110,7 @@ class SizeMemo:
         self.lower_expansion = cache(lambda l: lower_expansion(l))
         self.upper_expansion = cache(lambda l: upper_expansion(l))
         self.contraction = cache(lambda l: contraction(l))
-        self.irreducible = cache(lambda l: is_join_irreducible_by_covers(l, universe))
+        self.irreducible = cache(lambda l: is_join_irreducible_by_covers(l))
         self.balancing_steps = cache(lambda: minimal_balancing_relation(n, n))
 
     @cached_property

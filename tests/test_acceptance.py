@@ -93,7 +93,7 @@ def test_criterion_07_balancing_closure_and_covering(holds):
 def test_criterion_08_irreducibility_triple_agreement(holds):
     holds(9, "irreducibility-triple-agreement")
     universe = enumerate_universe(7)
-    irreducible = [l for l in universe if is_join_irreducible_by_covers(l, universe)]
+    irreducible = [l for l in universe if is_join_irreducible_by_covers(l)]
     assert len(irreducible) == 7
     excluded = {l.components for l in universe} - {l.components for l in irreducible}
     assert excluded == {(2, 3, 3, 3, 3, 3, 3), (1, 3, 3, 3, 4, 5, 5)}

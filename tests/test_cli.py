@@ -29,6 +29,12 @@ from imbalattice.cli import main
 from imbalattice.verify import CHECKS, run_checks
 
 
+# Every CLI output the benchmark checks against, keyed by its argument line.
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference" / "cli.json").read_text()
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -389,12 +395,8 @@ class TestDeterminism:
         assert first == second
 
 
-    @pytest.mark.parametrize(
-        "command", ["enumerate 18 --count", "hasse 14", "irreducibles 14", "verify 8"]
-    )
-    def test_matches_benchmark_reference(self, capsys, command):
-        reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "cli.json"
-        expected = json.loads(reference.read_text())[command]
+    @pytest.mark.parametrize("command, expected", REFERENCE.items(), ids=list(REFERENCE))
+    def test_matches_benchmark_reference(self, capsys, command, expected):
         code, out, _ = run(capsys, *command.split())
         assert (code, out) == (0, expected)
 

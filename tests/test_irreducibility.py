@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import imbalattice.lattice
 from imbalattice import (
     balancing_step,
     bottom,
@@ -11,9 +14,10 @@ from imbalattice import (
     is_join_irreducible_by_decomposition,
     is_near_constant,
     leq,
+    top,
     validate,
 )
-from imbalattice.errors import ElementNotInUniverse
+from imbalattice.lattice import _descend, _leaf_counts
 
 
 def seq(*components):
@@ -76,20 +80,13 @@ class TestDecomposition:
 
 class TestCoverCounting:
     def test_unique_lower_cover(self):
-        universe = enumerate_universe(7)
-        assert is_join_irreducible_by_covers(seq(2, 2, 2, 4, 4, 4, 4), universe)
+        assert is_join_irreducible_by_covers(seq(2, 2, 2, 4, 4, 4, 4))
 
     def test_two_lower_covers(self):
-        universe = enumerate_universe(7)
-        assert not is_join_irreducible_by_covers(seq(1, 3, 3, 3, 4, 5, 5), universe)
+        assert not is_join_irreducible_by_covers(seq(1, 3, 3, 3, 4, 5, 5))
 
     def test_bottom_covers_nothing(self):
-        universe = enumerate_universe(7)
-        assert not is_join_irreducible_by_covers(bottom(7), universe)
-
-    def test_foreign_element(self):
-        with pytest.raises(ElementNotInUniverse):
-            is_join_irreducible_by_covers(seq(1, 1), enumerate_universe(7))
+        assert not is_join_irreducible_by_covers(bottom(7))
 
 
 class TestBalancingCriterion:
@@ -133,8 +130,64 @@ class TestAgreement:
         for n in range(2, 10):
             universe = enumerate_universe(n)
             for l in universe:
-                if not is_join_irreducible_by_covers(l, universe):
+                if not is_join_irreducible_by_covers(l):
                     continue
                 lowers = [u for u in universe if u != l and leq(u, l)]
                 covers = [u for u in lowers if not any(v != u and leq(u, v) for v in lowers)]
                 assert covers == [balancing_step(l, excess_indices(l)[0])]
+
+
+def walk_below_top(n, rng, steps):
+    """``top(n)`` after ``steps`` balancing moves, each at a random excess
+    index (fewer when the walk reaches the bottom)."""
+    l = top(n)
+    for _ in range(steps):
+        indices = excess_indices(l)
+        if not indices:
+            break
+        l = balancing_step(l, rng.choice(indices))
+    return l
+
+
+def agree(l):
+    """The three verdicts on ``l``, asserted equal; returns the one verdict."""
+    verdicts = (
+        is_join_irreducible_by_covers(l),
+        is_join_irreducible_by_balancing(l),
+        is_join_irreducible_by_decomposition(l),
+    )
+    assert len(set(verdicts)) == 1, (l, verdicts)
+    return verdicts[0]
+
+
+PAST_THE_UNIVERSE = (32, 64, 128, 256, 300)
+
+
+class TestPastTheUniverse:
+    @pytest.mark.parametrize("n", PAST_THE_UNIVERSE)
+    def test_uniform_draws(self, n):
+        # One leaf-count table per size; _unrank would rebuild it per draw.
+        rows = _leaf_counts(n)
+        rng = random.Random(2700 + n)
+        for _ in range(300):
+            agree(validate(_descend(rows, rng.randrange(rows[n][1]))))
+
+    @pytest.mark.parametrize("n", PAST_THE_UNIVERSE)
+    def test_short_walks_below_top(self, n):
+        # Near the top most elements are irreducible, so both verdicts occur.
+        rng = random.Random(2750 + n)
+        verdicts = [agree(walk_below_top(n, rng, rng.randrange(6))) for _ in range(300)]
+        assert True in verdicts and False in verdicts
+
+    def test_cover_test_enumerates_nothing(self, monkeypatch):
+        def no_universe(*args):
+            raise AssertionError("the cover test enumerated a universe")
+
+        monkeypatch.setattr(imbalattice.lattice, "_universe", no_universe)
+        monkeypatch.setattr(imbalattice.lattice, "enumerate_universe", no_universe)
+        rng = random.Random(2799)
+        assert is_join_irreducible_by_covers(top(300))
+        walked = [walk_below_top(300, rng, rng.randrange(6)) for _ in range(50)]
+        verdicts = [is_join_irreducible_by_covers(l) for l in walked]
+        monkeypatch.undo()
+        assert verdicts == [is_join_irreducible_by_balancing(l) for l in walked]

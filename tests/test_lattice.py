@@ -529,7 +529,7 @@ class TestCovering:
 
         monkeypatch.setattr(PathLengthSequence, "__post_init__", no_build)
         edges = _cover_edges(12)
-        by_covers = [is_join_irreducible_by_covers(l, universe) for l in universe]
+        by_covers = [is_join_irreducible_by_covers(l) for l in universe]
         monkeypatch.undo()
         assert edges == hasse(12).cover_edges
         assert by_covers == [is_join_irreducible_by_balancing(l) for l in universe]

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from imbalattice import (
@@ -6,8 +8,10 @@ from imbalattice import (
     contraction,
     enumerate_universe,
     expansion_at,
+    join,
     leq,
     lower_expansion,
+    meet,
     upper_expansion,
     validate,
 )
@@ -88,3 +92,41 @@ class TestContraction:
     def test_round_trip_at_merged_position(self, holds):
         # the merged component sits at position n - suf + 1 of the contraction
         holds(10, "contraction-round-trip")
+
+
+# Ordered pairs (a, b) of L_n on which a size-changing map f breaks a bound:
+# f(meet(a, b)) != meet(f(a), f(b)), or the same for join.  Every other
+# (map, bound, n) with n <= 9 breaks on none.
+BROKEN = {
+    ("contraction", "meet"): {8: 6, 9: 12},
+    ("lower_expansion", "join"): {9: 20},
+}
+
+
+class TestLatticeMaps:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_which_bounds_each_map_preserves(self, n):
+        pool = enumerate_universe(n).elements
+        pairs = list(product(pool, pool))
+        bounds = {"meet": meet, "join": join}
+        here = {name: [bound(a, b) for a, b in pairs] for name, bound in bounds.items()}
+        maps = [upper_expansion, lower_expansion] + ([contraction] if n > 1 else [])
+        for f in maps:
+            image = {l: f(l) for l in pool}
+            for name, bound in bounds.items():
+                broken = sum(
+                    image[m] != bound(image[a], image[b])
+                    for (a, b), m in zip(pairs, here[name])
+                )
+                expected = BROKEN.get((f.__name__, name), {}).get(n, 0)
+                assert broken == expected, (f.__name__, name)
+
+    def test_contraction_breaks_meet_first_at_eight(self):
+        a = seq(1, 3, 4, 4, 4, 4, 4, 4)
+        broken = [
+            b for b in enumerate_universe(8)
+            if contraction(meet(a, b)) != meet(contraction(a), contraction(b))
+        ]
+        assert broken == [
+            seq(2, 2, 2, 3, 4, 5, 6, 6), seq(2, 2, 2, 3, 5, 5, 5, 5), seq(2, 2, 2, 4, 4, 4, 5, 5)
+        ]
