@@ -4,7 +4,7 @@
 Everything the library computes cleverly is recomputed here the dumb way:
 enumeration by dyadic partition search, order checks from the definition
 with exact integer partial sums, meets and joins by exhaustive scan, and the closure
-of the balancing relation by relational squaring.
+of the balancing relation by Warshall's algorithm on bitmask rows.
 """
 
 from imbalattice import (

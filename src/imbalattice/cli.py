@@ -140,7 +140,7 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = verify.run_checks(args.n, names=args.properties or None, ceiling=args.ceiling)
+    reports = verify.run_checks(args.n, names=args.properties or None)
     for report in reports:
         print(report.to_json() if args.format == "json" else str(report))
     return 0 if all(r.passed for r in reports) else 1
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run only the named checks (repeatable); "
                           "one of: %(choices)s")
     cmd.add_argument("--format", choices=("text", "json"), default="text")
-    add_ceiling(cmd)
 
     return parser
 

@@ -150,14 +150,16 @@ class BalancingStep(Value):
         object.__setattr__(self, "target", target)
 
 
-def _check_size(n: int, ceiling: int) -> None:
+def _check_size(n: int, ceiling: int | None = None) -> None:
+    """Refuse a nonpositive ``n`` and an ``n`` beyond ``ceiling``.  Without
+    a ``ceiling`` the caller has none to raise: ``DEFAULT_CEILING`` applies
+    and the message offers no way past it."""
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    if n > ceiling:
-        raise ResourceLimit(
-            f"n={n} exceeds the enumeration ceiling {ceiling}; "
-            "pass a larger ceiling explicitly to proceed"
-        )
+    limit = DEFAULT_CEILING if ceiling is None else ceiling
+    if n > limit:
+        hint = "" if ceiling is None else "; pass a larger ceiling explicitly to proceed"
+        raise ResourceLimit(f"n={n} exceeds the enumeration ceiling {limit}{hint}")
 
 
 def _leaf_row(above: tuple[int, ...]) -> tuple[int, ...]:

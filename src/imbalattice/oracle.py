@@ -7,20 +7,23 @@ sums straight from the definition as exact integers, and enumeration
 searches dyadic partitions of 1 with an integer budget instead of
 descending a table of leaf counts.  Both count in one unit, ``2**-(n-1)``
 for length ``n``, computed here rather than borrowed from the order code.
-Meets and joins are found by one exhaustive scan over a universe, and
-cover pairs come from a cubic transitive reduction of the definition-level
-order instead of from balancing steps.
+Meets and joins are found by one exhaustive scan over a universe.  The
+definition-level order of a universe is held once as bitmask rows, each
+element's up-set, and cover pairs are read off those rows instead of from
+balancing steps.
 
 ``closure_equals_order`` is the one deliberate exception: it consumes the
 minimal balancing relation (the artifact under test) and checks that its
-reflexive-transitive closure, computed by plain relational squaring,
-reproduces the order.
+reflexive-transitive closure, computed by Warshall's algorithm on bitmask
+rows, reproduces the definition-level rows.  Neither it nor
+``covering_pairs_by_definition`` takes a ceiling: both refuse n beyond
+``DEFAULT_CEILING``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import le
+from operator import le, xor
 
 from ._value import Value
 from .errors import NotALattice
@@ -141,27 +144,40 @@ def enumerate_by_partition(n: int, ceiling: int = DEFAULT_CEILING) -> tuple[Path
     return tuple(PathLengthSequence(c) for c in sorted(found))
 
 
-def covering_pairs_by_definition(
-    n: int, ceiling: int = DEFAULT_CEILING
-) -> tuple[tuple[PathLengthSequence, PathLengthSequence], ...]:
+def _up_sets(n: int) -> tuple[tuple[PathLengthSequence, ...], list[int]]:
+    """The universe of ``enumerate_by_partition(n)`` and, per element index
+    ``i``, the bitmask of the indices ``j`` with ``elements[i] <=
+    elements[j]``: one ``leq_by_definition`` call per ordered pair."""
+    _check_size(n)
+    elements = enumerate_by_partition(n)
+    up = [0] * len(elements)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            if leq_by_definition(a, b):
+                up[i] |= 1 << j
+    return elements, up
+
+
+def covering_pairs_by_definition(n: int) -> tuple[tuple[PathLengthSequence, PathLengthSequence], ...]:
     """Cover pairs ``(lower, upper)`` by transitive reduction of the order.
 
     ``lower`` is covered by ``upper`` when ``lower < upper`` and no element
-    lies strictly between them; cubic in the universe size.  Pairs come in
-    the order of ``imbalattice.lattice.covering_pairs``.
+    lies strictly between them: ``upper`` is above ``lower`` but strictly
+    above nothing that is strictly above ``lower``.  Read off the
+    definition-level up-sets as bitmasks.  Pairs come in the order of
+    ``imbalattice.lattice.covering_pairs``.
     """
-    elements = enumerate_by_partition(n, ceiling)
-    m = len(elements)
-    below = [
-        [a != b and leq_by_definition(elements[a], elements[b]) for b in range(m)]
-        for a in range(m)
-    ]
-    return tuple(
-        (elements[a], elements[b])
-        for a in range(m)
-        for b in range(m)
-        if below[a][b] and not any(below[a][c] and below[c][b] for c in range(m))
-    )
+    elements, up = _up_sets(n)
+    strict = [mask & ~(1 << i) for i, mask in enumerate(up)]
+    pairs = []
+    for a, above in zip(elements, strict):
+        beyond = 0
+        for j, mask in enumerate(strict):
+            if above >> j & 1:
+                beyond |= mask
+        covers = above & ~beyond
+        pairs += [(a, b) for j, b in enumerate(elements) if covers >> j & 1]
+    return tuple(pairs)
 
 
 def meet_bruteforce(
@@ -196,29 +212,31 @@ def _unique_bound(
     return extreme[0]
 
 
-def closure_equals_order(n: int, ceiling: int = DEFAULT_CEILING) -> PropertyReport:
+def closure_equals_order(n: int) -> PropertyReport:
     """Does the closure of the minimal balancing relation equal the order?
 
-    The closure is computed by iterative relational squaring over the
-    independently enumerated universe; the order side uses the integer
-    definition-level check.  Discrepancy pairs, if any, become the witness.
+    Each row is the bitmask of what one element of the independently
+    enumerated universe reaches by balancing steps taken upwards; Warshall's
+    algorithm closes the rows, which are then compared with the
+    definition-level up-sets.  The first five discrepancy pairs, row by
+    row, become the witness.
     """
-    elements = enumerate_by_partition(n, ceiling)
+    elements, up = _up_sets(n)
     position = {el.components: i for i, el in enumerate(elements)}
-    relation = {(i, i) for i in range(len(elements))}
-    for step in minimal_balancing_relation(n, ceiling):
-        relation.add((position[step.target.components], position[step.source.components]))
-    while True:
-        composed = {(a, d) for a, b in relation for c, d in relation if b == c}
-        squared = relation | composed
-        if squared == relation:
-            break
-        relation = squared
-    mismatches = []
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            if ((i, j) in relation) != leq_by_definition(a, b):
-                mismatches.append(f"{a} vs {b}")
+    reach = [1 << i for i in range(len(elements))]
+    for step in minimal_balancing_relation(n):
+        reach[position[step.target.components]] |= 1 << position[step.source.components]
+    for k, through in enumerate(reach):
+        for i, row in enumerate(reach):
+            if row >> k & 1:
+                reach[i] = row | through
+    mismatches = [
+        f"{a} vs {b}"
+        for a, diff in zip(elements, map(xor, reach, up))
+        if diff
+        for j, b in enumerate(elements)
+        if diff >> j & 1
+    ]
     if mismatches:
         return PropertyReport(
             "closure-equals-order", n, "fail", "; ".join(mismatches[:5])

@@ -3,10 +3,11 @@
 Each check takes one ``SizeMemo`` (a length-n universe plus memos of the
 calls several checks share) and returns the witness of the first
 counterexample it finds there, or ``None`` when the law holds.
-``run_checks`` owns the size sweep: it refuses sizes beyond the ceiling,
-then walks n = 1, 2, ... up to the requested maximum, sizes outermost.
-At each size it builds one ``SizeMemo``, runs every check that has no
-witness yet in registry order, and drops the memo before the next size.
+``run_checks`` owns the size sweep: it refuses sizes beyond the fixed
+``DEFAULT_CEILING`` (20), which takes no option, then walks n = 1, 2, ...
+up to the requested maximum, sizes outermost.  At each size it builds one
+``SizeMemo``, runs every check that has no witness yet in registry order,
+and drops the memo before the next size.
 For that one size the memo caches ``meet`` and ``join`` per ordered pair,
 the oracle's bounds per pair, both expansions, the contraction and cover
 irreducibility per element, and once each the ``leq`` bitmasks, the pairs
@@ -36,7 +37,6 @@ from .irreducibility import (
     is_near_constant,
 )
 from .lattice import (
-    DEFAULT_CEILING,
     LatticeUniverse,
     _check_size,
     _lower_covers,
@@ -101,7 +101,7 @@ class SizeMemo:
         self.n = n = universe.n
         self.elements = universe.elements
         self.meet = cache(lambda s, t: meet(s, t))
-        self.join = cache(lambda s, t: join(s, t, n))
+        self.join = cache(lambda s, t: join(s, t))
         # the oracle's (meet_bruteforce, join_bruteforce); raises
         # NotALattice when either bound is not unique
         self.bounds = cache(
@@ -111,7 +111,7 @@ class SizeMemo:
         self.upper_expansion = cache(lambda l: upper_expansion(l))
         self.contraction = cache(lambda l: contraction(l))
         self.irreducible = cache(lambda l: is_join_irreducible_by_covers(l))
-        self.balancing_steps = cache(lambda: minimal_balancing_relation(n, n))
+        self.balancing_steps = cache(lambda: minimal_balancing_relation(n))
 
     @cached_property
     def order_masks(self) -> tuple[list[int], list[int]]:
@@ -231,12 +231,12 @@ def _check_contraction_round_trip(size: SizeMemo) -> str | None:
 def _check_enumeration_oracle(size: SizeMemo) -> str | None:
     n = size.n
     fast = size.elements
-    slow = enumerate_by_partition(n, n)
+    slow = enumerate_by_partition(n)
     if set(fast) != set(slow):
         extra = sorted(x.components for x in set(fast) ^ set(slow))
         return f"n={n} differs at {extra[:3]}"
     # The lengths also catch duplicates, which the sets hide.
-    count = count_universe(n, n)
+    count = count_universe(n)
     for length in (len(slow), len(fast)):
         if count != length:
             return f"n={n} count {count} but {length} elements"
@@ -333,7 +333,7 @@ def _check_join_absorption(size: SizeMemo) -> str | None:
 
 def _check_closure_equals_order(size: SizeMemo) -> str | None:
     n = size.n
-    report = closure_equals_order(n, n)
+    report = closure_equals_order(n)
     if not report.passed:
         return f"n={n}: {report.witness}"
     return None
@@ -341,8 +341,8 @@ def _check_closure_equals_order(size: SizeMemo) -> str | None:
 
 def _check_covering_within_balancing(size: SizeMemo) -> str | None:
     n = size.n
-    covers = covering_pairs(n, n)
-    if covers != covering_pairs_by_definition(n, n):
+    covers = covering_pairs(n)
+    if covers != covering_pairs_by_definition(n):
         return f"n={n}: covers differ from the definition"
     steps = {(s.target, s.source) for s in size.balancing_steps()}
     for low, high in covers:
@@ -445,17 +445,14 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def run_checks(
-    max_n: int,
-    names: Iterable[str] | None = None,
-    ceiling: int = DEFAULT_CEILING,
-) -> list[PropertyReport]:
+def run_checks(max_n: int, names: Iterable[str] | None = None) -> list[PropertyReport]:
     """Run the named checks (all by default) for sizes up to ``max_n``.
 
     ``names`` is a collection of check names; a bare ``str`` is refused.
     Reports come back in registry order regardless of the order names were
-    given in, keeping output stable.  Sizes beyond ``ceiling`` are refused
-    before any check runs.  Sizes then run outermost: for n = 1 to
+    given in, keeping output stable.  Sizes beyond ``DEFAULT_CEILING`` are
+    refused before any check runs; each size costs several times the
+    last, so n = 11 already takes seconds.  Sizes then run outermost: for n = 1 to
     ``max_n`` one ``SizeMemo`` of the length-n universe is built, each
     selected check without a witness yet runs on it in registry order, and
     the memo is dropped.  A check stops at the first witness it returns; an
@@ -472,13 +469,13 @@ def run_checks(
     unknown = selected - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    _check_size(max_n, ceiling)
+    _check_size(max_n)
     witnesses: dict[str, str | None] = {name: None for name in CHECKS if name in selected}
     for n in range(1, max_n + 1):
         pending = [name for name, witness in witnesses.items() if witness is None]
         if not pending:
             break
-        size = SizeMemo(enumerate_universe(n, ceiling))
+        size = SizeMemo(enumerate_universe(n))
         for name in pending:
             try:
                 witnesses[name] = CHECKS[name](size)

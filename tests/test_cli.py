@@ -213,7 +213,7 @@ class TestVerifyCommand:
 
     def test_a_wrong_count_is_reported_with_its_witness(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            imbalattice.verify, "count_universe", lambda n, ceiling: count_universe(n) + (n == 6)
+            imbalattice.verify, "count_universe", lambda n: count_universe(n) + (n == 6)
         )
         (report,) = run_checks(6, ["enumeration-oracle"])
         assert (report.status, report.witness) == ("fail", "n=6 count 6 but 5 elements")
@@ -257,7 +257,10 @@ class TestVerifyCommand:
     def test_size_beyond_the_ceiling_is_refused_before_any_check(self, capsys):
         code, out, err = run(capsys, "verify", "21")
         assert (code, out) == (1, "")
-        assert err.count("\n") == 1 and "ceiling" in err
+        assert err == "error: n=21 exceeds the enumeration ceiling 20\n"
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "8", "--ceiling", "21"])
+        assert info.value.code == 2
 
 
 class TestExitCodes:

@@ -537,7 +537,7 @@ class TestCovering:
     def test_cover_edges_match_the_definition(self, holds):
         # Covers come from balancing steps; the oracle reduces the
         # definition-level order over its own enumeration.
-        holds(12, "covering-within-balancing")
+        holds(13, "covering-within-balancing")
 
     def test_chain_below_seven_and_first_incomparable_pair(self):
         for n in range(1, 7):

@@ -19,6 +19,7 @@ from imbalattice import (
     leq,
     leq_by_definition,
     meet_bruteforce,
+    minimal_balancing_relation,
     validate,
 )
 from imbalattice.errors import ElementNotInUniverse
@@ -153,18 +154,56 @@ class TestBruteforceBounds:
             assert caught.value.bounds == ()
 
 
+def refuses_21(check):
+    # No ceiling can be passed, so the refusal offers none.
+    with pytest.raises(ResourceLimit) as caught:
+        check(21)
+    assert str(caught.value) == "n=21 exceeds the enumeration ceiling 20"
+
+
 class TestCoversByDefinition:
     def test_ceiling(self):
-        with pytest.raises(ResourceLimit):
-            covering_pairs_by_definition(9, ceiling=8)
+        refuses_21(covering_pairs_by_definition)
+
+
+# The witness closure_equals_order gives when the balancing relation lacks
+# its first, middle or last step, as the set-squaring closure gave it.
+WITHOUT_ONE_STEP = {
+    (6, 0): "1,2,4,4,4,4 vs 1,2,3,4,5,5; 1,3,3,3,4,4 vs 1,2,3,4,5,5; "
+            "2,2,2,3,4,4 vs 1,2,3,4,5,5; 2,2,3,3,3,3 vs 1,2,3,4,5,5",
+    (6, 2): "2,2,2,3,4,4 vs 1,2,3,4,5,5; 2,2,2,3,4,4 vs 1,2,4,4,4,4; "
+            "2,2,2,3,4,4 vs 1,3,3,3,4,4",
+    (6, 4): "2,2,3,3,3,3 vs 2,2,2,3,4,4",
+    (8, 0): "1,2,3,4,6,6,6,6 vs 1,2,3,4,5,6,7,7; 1,2,3,5,5,5,6,6 vs 1,2,3,4,5,6,7,7; "
+            "1,2,4,4,4,5,6,6 vs 1,2,3,4,5,6,7,7; 1,2,4,4,5,5,5,5 vs 1,2,3,4,5,6,7,7; "
+            "1,3,3,3,4,5,6,6 vs 1,2,3,4,5,6,7,7",
+    (8, 11): "1,3,3,4,4,4,5,5 vs 1,3,3,3,4,5,6,6; 1,3,3,4,4,4,5,5 vs 1,3,3,3,5,5,5,5; "
+             "1,3,4,4,4,4,4,4 vs 1,3,3,3,4,5,6,6; 1,3,4,4,4,4,4,4 vs 1,3,3,3,5,5,5,5",
+    (8, 22): "3,3,3,3,3,3,3,3 vs 1,2,3,4,5,6,7,7; 3,3,3,3,3,3,3,3 vs 1,2,3,4,6,6,6,6; "
+             "3,3,3,3,3,3,3,3 vs 1,2,3,5,5,5,6,6; 3,3,3,3,3,3,3,3 vs 1,2,4,4,4,5,6,6; "
+             "3,3,3,3,3,3,3,3 vs 1,2,4,4,5,5,5,5",
+}
 
 
 class TestClosureReport:
-    @pytest.mark.parametrize("n", [5, 7, 8])
+    def test_ceiling(self):
+        refuses_21(closure_equals_order)
+
+    @pytest.mark.parametrize("n", [5, 7, 8, 10, 11])
     def test_closure_equals_order(self, n):
         report = closure_equals_order(n)
         assert report.passed
         assert report.witness is None
+
+    @pytest.mark.parametrize("n, dropped", sorted(WITHOUT_ONE_STEP))
+    def test_witness_of_a_missing_step(self, monkeypatch, n, dropped):
+        steps = minimal_balancing_relation(n)
+        assert dropped in (0, len(steps) // 2, len(steps) - 1)
+        kept = steps[:dropped] + steps[dropped + 1:]
+        monkeypatch.setattr(imbalattice.oracle, "minimal_balancing_relation", lambda n: kept)
+        assert closure_equals_order(n) == PropertyReport(
+            "closure-equals-order", n, "fail", WITHOUT_ONE_STEP[n, dropped]
+        )
 
     def test_report_json(self):
         report = PropertyReport("closure-equals-order", 5, "pass")
